@@ -20,6 +20,7 @@ import (
 	"ritw/internal/atlas"
 	"ritw/internal/core"
 	"ritw/internal/ditl"
+	"ritw/internal/faults"
 	"ritw/internal/geo"
 	"ritw/internal/measure"
 	"ritw/internal/resolver"
@@ -415,7 +416,7 @@ func BenchmarkAblationOutage(b *testing.B) {
 		pc.NumProbes = 600
 		cfg.Population = pc
 		start, end := 20*time.Minute, 40*time.Minute
-		cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
+		cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
 		ds, err := measure.Run(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -10,7 +10,6 @@ import (
 
 	"ritw/internal/attacks"
 	"ritw/internal/core"
-	"ritw/internal/netsim"
 )
 
 // TestGoldenAttacks pins the exact text of the preset defense-matrix
@@ -24,7 +23,7 @@ func TestGoldenAttacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the attack battery")
 	}
-	runAttackGolden(t, 0, 0, netsim.SchedHeap, *updateGolden)
+	runAttackGolden(t, 0, *updateGolden)
 }
 
 // TestGoldenAttacksSharded replays the battery split across simulation
@@ -37,43 +36,22 @@ func TestGoldenAttacksSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the attack battery")
 	}
-	runAttackGolden(t, crosscheckShards(t, 4), 0, crosscheckSched(t, netsim.SchedHeap), false)
-}
-
-// TestGoldenAttacksWorkers replays the battery with every run's lanes
-// distributed over `ritw lane-worker` subprocesses and demands the
-// exact bytes of the sequential golden: the attack schedule and
-// defense matrix travel the lanewire job protocol, and the results
-// must not depend on the process layout. RITW_CROSSCHECK_WORKERS
-// elevates the worker count for the CI crosscheck job.
-func TestGoldenAttacksWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the attack battery over subprocess workers")
-	}
-	workers := crosscheckWorkers(t, 2)
-	shards := crosscheckShards(t, 4)
-	if shards < workers {
-		shards = workers
-	}
-	runAttackGolden(t, shards, workers, crosscheckSched(t, netsim.SchedHeap), false)
+	runAttackGolden(t, crosscheckShards(t, 4), false)
 }
 
 // runAttackGolden executes the preset battery at the pinned seed and
 // compares (or rewrites) the golden. shards=0 runs the single
 // sequential lane that defines the golden bytes.
-func runAttackGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKind, update bool) {
+func runAttackGolden(t *testing.T, shards int, update bool) {
 	t.Helper()
 	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
-	oldSched, oldWorkers := schedKind, *workersFlag
 	defer func() {
 		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
-		schedKind, *workersFlag = oldSched, oldWorkers
 	}()
 	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
-	schedKind, *workersFlag = kind, workers
 
 	got := captureStdout(t, func() error {
 		return cmdAttacks(context.Background(), core.ScaleSmall)
@@ -93,8 +71,8 @@ func runAttackGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKin
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("attacks (shards=%d workers=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
-			shards, workers, path, got, want)
+		t.Errorf("attacks (shards=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
+			shards, path, got, want)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"ritw/internal/core"
-	"ritw/internal/netsim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden outputs under testdata/golden")
@@ -24,7 +23,7 @@ func TestGoldenOutputs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full figure suite")
 	}
-	runGoldenSuite(t, 0, 0, netsim.SchedHeap, *updateGolden)
+	runGoldenSuite(t, 0, *updateGolden)
 }
 
 // crosscheckShards reads the CI shard-count override (default def).
@@ -41,98 +40,33 @@ func crosscheckShards(t *testing.T, def int) int {
 	return n
 }
 
-// crosscheckSched reads the RITW_SCHED scheduler override (default
-// def), so the CI matrix can drive one golden job per scheduler.
-func crosscheckSched(t *testing.T, def netsim.SchedulerKind) netsim.SchedulerKind {
-	t.Helper()
-	env := os.Getenv("RITW_SCHED")
-	if env == "" {
-		return def
-	}
-	k, err := netsim.ParseSchedulerKind(env)
-	if err != nil {
-		t.Fatalf("bad RITW_SCHED=%q: %v", env, err)
-	}
-	return k
-}
-
 // TestGoldenOutputsSharded replays the full figure suite split across
 // simulation shards and demands the exact bytes of the sequential
 // goldens: the CLI-level pin of the sharded engine's byte-identity
 // contract. An odd shard count stresses the canonical merge with
-// uneven lanes. RITW_CROSSCHECK_SHARDS elevates the shard count and
-// RITW_SCHED selects the scheduler for the CI race job.
+// uneven lanes. RITW_CROSSCHECK_SHARDS elevates the shard count for
+// the CI race job.
 func TestGoldenOutputsSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full figure suite")
 	}
-	runGoldenSuite(t, crosscheckShards(t, 3), 0, crosscheckSched(t, netsim.SchedHeap), false)
-}
-
-// crosscheckWorkers reads the CI worker-count override (default def).
-func crosscheckWorkers(t *testing.T, def int) int {
-	t.Helper()
-	env := os.Getenv("RITW_CROSSCHECK_WORKERS")
-	if env == "" {
-		return def
-	}
-	n, err := strconv.Atoi(env)
-	if err != nil || n < 1 {
-		t.Fatalf("bad RITW_CROSSCHECK_WORKERS=%q", env)
-	}
-	return n
-}
-
-// TestGoldenOutputsWorkers replays the full figure suite with every
-// run's lanes distributed over `ritw lane-worker` subprocesses (the
-// test binary re-execs itself; see TestMain) and demands the exact
-// bytes of the sequential goldens: the CLI-level pin of the lanewire
-// engine's byte-identity contract across process layouts.
-// RITW_CROSSCHECK_WORKERS elevates the worker count for the CI
-// multiprocess cross-check job.
-func TestGoldenOutputsWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full figure suite over subprocess workers")
-	}
-	workers := crosscheckWorkers(t, 2)
-	shards := crosscheckShards(t, 4)
-	if shards < workers {
-		shards = workers
-	}
-	runGoldenSuite(t, shards, workers, crosscheckSched(t, netsim.SchedHeap), false)
-}
-
-// TestGoldenOutputsWheel replays the suite on the timing-wheel
-// scheduler — sequential and sharded — against the same goldens the
-// heap defined: the CLI-level pin that scheduler choice never changes
-// a published number.
-func TestGoldenOutputsWheel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full figure suite")
-	}
-	runGoldenSuite(t, 0, 0, netsim.SchedWheel, false)
-	runGoldenSuite(t, crosscheckShards(t, 3), 0, netsim.SchedWheel, false)
+	runGoldenSuite(t, crosscheckShards(t, 3), false)
 }
 
 // runGoldenSuite executes every figure/table command at the pinned
 // seed and compares (or, with update, rewrites) the goldens. shards=0
-// runs the single sequential lane that defines the golden bytes; kind
-// selects the event scheduler and workers the subprocess layout (the
-// goldens must depend on neither).
-func runGoldenSuite(t *testing.T, shards, workers int, kind netsim.SchedulerKind, update bool) {
+// runs the single sequential lane that defines the golden bytes.
+func runGoldenSuite(t *testing.T, shards int, update bool) {
 	t.Helper()
 	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
-	oldSched, oldWorkers := schedKind, *workersFlag
 	defer func() {
 		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
-		schedKind, *workersFlag = oldSched, oldWorkers
 		table1Cache = nil
 	}()
 	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
-	schedKind, *workersFlag = kind, workers
 	table1Cache = nil
 
 	cmds := []struct {

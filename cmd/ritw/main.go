@@ -41,9 +41,9 @@ import (
 	"ritw/internal/analysis"
 	"ritw/internal/core"
 	"ritw/internal/ditl"
+	"ritw/internal/faults"
 	"ritw/internal/geo"
 	"ritw/internal/measure"
-	"ritw/internal/netsim"
 	"ritw/internal/obs"
 )
 
@@ -59,18 +59,12 @@ var (
 	maxMem     = flag.Int("maxmem", 0, "cap streaming analysis memory: MiB budget for the RTT quantile sketches (implies -stream; 0 = exact)")
 	probesFlag = flag.Int("probes", 0, "override the probe count implied by -scale (0 = scale default)")
 	shardsFlag = flag.Int("shards", 0, "split each simulation across N concurrent lanes; results are byte-identical at any shard count (0 = single lane)")
-	schedFlag  = flag.String("sched", "heap", "simulator event scheduler: heap (reference) or wheel (timing wheel, faster at large event depths); results are byte-identical either way")
 	metricsOut = flag.Bool("metrics", false, "dump the observability registry to stderr when the command finishes")
 
-	workersFlag = flag.Int("workers", 0, "distribute each run's lanes over N `ritw lane-worker` subprocesses; results are byte-identical at any process layout (0 = in-process; needs -shards >= N)")
-	snapEvery   = flag.Duration("snapshot-every", 0, "checkpoint batch runs every D of simulated time so they can be resumed (0 = off)")
-	snapDir     = flag.String("snapshot-dir", ".", "directory for -snapshot-every checkpoint files (ritw-<run key>.snap)")
-	resumeFlag  = flag.Bool("resume", false, "resume batch runs from their -snapshot-dir checkpoints instead of starting over (requires -snapshot-every)")
+	snapEvery  = flag.Duration("snapshot-every", 0, "checkpoint batch runs every D of simulated time so they can be resumed (0 = off)")
+	snapDir    = flag.String("snapshot-dir", ".", "directory for -snapshot-every checkpoint files (ritw-<run key>.snap)")
+	resumeFlag = flag.Bool("resume", false, "resume batch runs from their -snapshot-dir checkpoints instead of starting over (requires -snapshot-every)")
 )
-
-// schedKind is the parsed -sched value, fixed in main before any
-// command runs.
-var schedKind netsim.SchedulerKind
 
 // metricsReg collects cross-layer counters and gauges (simulator
 // events, records streamed, sink spill bytes, aggregator peak sizes)
@@ -101,23 +95,13 @@ func scaleProbes(scale core.Scale) int {
 	return scale.Probes()
 }
 
-// validateLayout rejects impossible -shards/-workers/-snapshot flag
+// validateLayout rejects impossible -shards/-snapshot flag
 // combinations before any simulation starts. The measure layer
 // re-validates per run; failing here gives one clear message instead
 // of the same error once per batch job.
-func validateLayout(shards, workers int, every time.Duration, resume bool) error {
+func validateLayout(shards int, every time.Duration, resume bool) error {
 	if shards < 0 {
 		return fmt.Errorf("-shards must be >= 0, got %d", shards)
-	}
-	if workers < 0 {
-		return fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	lanes := shards
-	if lanes < 1 {
-		lanes = 1
-	}
-	if workers > lanes {
-		return fmt.Errorf("-workers %d needs at least %d lanes but -shards gives %d: raise -shards so every worker owns a lane", workers, workers, lanes)
 	}
 	if every < 0 {
 		return fmt.Errorf("-snapshot-every must be >= 0, got %v", every)
@@ -141,7 +125,6 @@ func batchOpts(scale core.Scale) []core.Option {
 	opts := []core.Option{
 		core.WithSeed(*seed), core.WithScale(scale), core.WithParallelism(*parallel),
 		core.WithProbes(*probesFlag), core.WithShards(*shardsFlag),
-		core.WithScheduler(schedKind), core.WithWorkers(*workersFlag),
 	}
 	if len(mixShares) > 0 {
 		opts = append(opts, core.WithMix(mixShares))
@@ -171,13 +154,6 @@ func reportProgress(p core.BatchProgress) {
 }
 
 func main() {
-	// A -workers parent re-execs this binary as `ritw lane-worker`
-	// children (plus a guard env var, so a stray argv can't trigger
-	// it). The dispatch runs before anything else: workers speak the
-	// lanewire protocol on stdin/stdout and never parse CLI flags.
-	if measure.MaybeRunLaneWorker() {
-		return
-	}
 	// blast owns its own flag set (load-harness knobs share nothing
 	// with the figure pipeline), so it dispatches before flag.Parse.
 	if len(os.Args) > 1 && os.Args[1] == "blast" {
@@ -193,9 +169,7 @@ func main() {
 	}
 	scale, err := parseScale(*scaleStr)
 	check(err)
-	schedKind, err = netsim.ParseSchedulerKind(*schedFlag)
-	check(err)
-	check(validateLayout(*shardsFlag, *workersFlag, *snapEvery, *resumeFlag))
+	check(validateLayout(*shardsFlag, *snapEvery, *resumeFlag))
 	if *mixFlag != "" {
 		mixShares, err = parseMixSpec(*mixFlag)
 		check(err)
@@ -791,8 +765,6 @@ func cmdIPv6(ctx context.Context, scale core.Scale) error {
 		cfg.IPv6Subset = v6
 		cfg.Metrics = metricsReg
 		cfg.Shards = *shardsFlag
-		cfg.Scheduler = schedKind
-		cfg.Workers = *workersFlag
 		if streaming() {
 			label := "2B-ipv6-all"
 			if v6 {
@@ -874,10 +846,8 @@ func cmdOutage(ctx context.Context, scale core.Scale) error {
 	cfg := measure.DefaultRunConfig(combo, *seed)
 	pc := atlasConfig(scale)
 	cfg.Population = pc
-	cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
 	cfg.Shards = *shardsFlag
-	cfg.Scheduler = schedKind
-	cfg.Workers = *workersFlag
 	ds, err := measure.RunContext(ctx, cfg)
 	if err != nil {
 		return err
@@ -904,7 +874,6 @@ func cmdOpenResolver(ctx context.Context, scale core.Scale) error {
 	}
 	cfg := measure.DefaultOpenResolverConfig(combo, *seed)
 	cfg.NumResolvers = scaleProbes(scale) / 4
-	cfg.Scheduler = schedKind
 	ds, err := measure.RunOpenResolversContext(ctx, cfg)
 	if err != nil {
 		return err

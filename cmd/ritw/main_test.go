@@ -14,17 +14,6 @@ import (
 	"ritw/internal/measure"
 )
 
-// TestMain hands lane-worker re-execs to the worker loop: a -workers
-// run inside a test spawns os.Executable — the test binary — as
-// `<binary> lane-worker`, and those children must speak lanewire on
-// stdio instead of running the test suite.
-func TestMain(m *testing.M) {
-	if measure.MaybeRunLaneWorker() {
-		return
-	}
-	os.Exit(m.Run())
-}
-
 func TestParseScale(t *testing.T) {
 	cases := map[string]core.Scale{
 		"small":  core.ScaleSmall,
@@ -71,23 +60,18 @@ func TestValidateLayout(t *testing.T) {
 	cases := []struct {
 		name    string
 		shards  int
-		workers int
 		every   time.Duration
 		resume  bool
 		wantErr string
 	}{
-		{"defaults", 0, 0, 0, false, ""},
-		{"workers fill shards", 4, 4, 0, false, ""},
-		{"snapshot resume", 8, 2, time.Minute, true, ""},
-		{"negative shards", -1, 0, 0, false, "-shards"},
-		{"negative workers", 4, -2, 0, false, "-workers"},
-		{"more workers than shards", 2, 3, 0, false, "lane"},
-		{"workers without shards", 0, 2, 0, false, "lane"},
-		{"negative cadence", 0, 0, -time.Second, false, "-snapshot-every"},
-		{"resume without cadence", 0, 0, 0, true, "-snapshot-every"},
+		{"defaults", 0, 0, false, ""},
+		{"snapshot resume", 8, time.Minute, true, ""},
+		{"negative shards", -1, 0, false, "-shards"},
+		{"negative cadence", 0, -time.Second, false, "-snapshot-every"},
+		{"resume without cadence", 0, 0, true, "-snapshot-every"},
 	}
 	for _, c := range cases {
-		err := validateLayout(c.shards, c.workers, c.every, c.resume)
+		err := validateLayout(c.shards, c.every, c.resume)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)

@@ -12,7 +12,6 @@ import (
 	"ritw/internal/atlas"
 	"ritw/internal/core"
 	"ritw/internal/measure"
-	"ritw/internal/netsim"
 	"ritw/internal/resolver"
 )
 
@@ -29,7 +28,7 @@ func TestGoldenMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fleet-mix battery")
 	}
-	runMixGolden(t, 0, 0, netsim.SchedHeap, *updateGolden)
+	runMixGolden(t, 0, *updateGolden)
 }
 
 // TestGoldenMixSharded replays the battery split across simulation
@@ -41,43 +40,25 @@ func TestGoldenMixSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the fleet-mix battery")
 	}
-	runMixGolden(t, crosscheckShards(t, 4), 0, crosscheckSched(t, netsim.SchedHeap), false)
-}
-
-// TestGoldenMixWorkers replays the battery with every run's lanes
-// distributed over `ritw lane-worker` subprocesses and demands the
-// exact bytes of the sequential golden: the mix share table travels
-// the lanewire job protocol, and every worker re-derives the same
-// assignment from it. RITW_CROSSCHECK_WORKERS elevates the worker
-// count for the CI crosscheck job.
-func TestGoldenMixWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the fleet-mix battery over subprocess workers")
-	}
-	workers := crosscheckWorkers(t, 2)
-	shards := crosscheckShards(t, 4)
-	if shards < workers {
-		shards = workers
-	}
-	runMixGolden(t, shards, workers, crosscheckSched(t, netsim.SchedHeap), false)
+	runMixGolden(t, crosscheckShards(t, 4), false)
 }
 
 // runMixGolden executes the preset battery at the pinned seed and
 // compares (or rewrites) the golden. shards=0 runs the single
 // sequential lane that defines the golden bytes.
-func runMixGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKind, update bool) {
+func runMixGolden(t *testing.T, shards int, update bool) {
 	t.Helper()
 	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
-	oldSched, oldWorkers, oldMix := schedKind, *workersFlag, mixShares
+	oldMix := mixShares
 	defer func() {
 		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
-		schedKind, *workersFlag, mixShares = oldSched, oldWorkers, oldMix
+		mixShares = oldMix
 	}()
 	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
-	schedKind, *workersFlag, mixShares = kind, workers, nil
+	mixShares = nil
 
 	got := captureStdout(t, func() error {
 		return cmdMix(context.Background(), core.ScaleSmall)
@@ -97,8 +78,8 @@ func runMixGolden(t *testing.T, shards, workers int, kind netsim.SchedulerKind, 
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("mix (shards=%d workers=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
-			shards, workers, path, got, want)
+		t.Errorf("mix (shards=%d) output drifted from %s\n--- got ---\n%s--- want ---\n%s",
+			shards, path, got, want)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 
 	"ritw/internal/analysis"
 	"ritw/internal/atlas"
+	"ritw/internal/faults"
 	"ritw/internal/measure"
 )
 
@@ -28,7 +29,7 @@ func main() {
 	pc := atlas.DefaultConfig(7)
 	pc.NumProbes = 1200
 	cfg.Population = pc
-	cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
 
 	fmt.Printf("Running 2B (DUB + FRA) with FRA down from %v to %v...\n\n", start, end)
 	ds, err := measure.Run(cfg)

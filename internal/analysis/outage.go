@@ -25,7 +25,7 @@ type WindowStats struct {
 	MedianRTT float64
 }
 
-// OutageImpact quantifies a site-failure window (measure.Outage): the
+// OutageImpact quantifies a site-failure window (faults.Outage): the
 // failed site's traffic share and the client failure rate before,
 // during and after the outage. The paper's §7 motivates multiple
 // authoritatives and anycast with exactly this resilience argument.

@@ -20,7 +20,7 @@ func TestOutageImpact(t *testing.T) {
 	pc.NumProbes = 400
 	cfg.Population = pc
 	start, end := 20*time.Minute, 40*time.Minute
-	cfg.Outage = &measure.Outage{Site: "FRA", Start: start, End: end}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
 	ds, err := measure.Run(cfg)
 	if err != nil {
 		t.Fatal(err)

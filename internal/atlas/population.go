@@ -30,11 +30,9 @@ type PolicyShare struct {
 	Retention resolver.Retention
 	// Singleflight enables engine-level upstream dedup for resolvers of
 	// this kind, and QnameMinimize the RFC 9156 query pattern — the
-	// modern-recursive behaviours (secDNS, Unbound defaults). Both are
-	// omitempty so mixes without them serialize exactly as before (the
-	// lanewire job fingerprint and old snapshots stay valid).
-	Singleflight  bool `json:",omitempty"`
-	QnameMinimize bool `json:",omitempty"`
+	// modern-recursive behaviours (secDNS, Unbound defaults).
+	Singleflight  bool
+	QnameMinimize bool
 }
 
 // DefaultMix is the calibrated resolver market-share mixture. Shares
@@ -80,8 +78,8 @@ type ResolverSpec struct {
 	Retention resolver.Retention
 	// Singleflight and QnameMinimize enable the corresponding engine
 	// behaviours (see PolicyShare).
-	Singleflight  bool `json:",omitempty"`
-	QnameMinimize bool `json:",omitempty"`
+	Singleflight  bool
+	QnameMinimize bool
 	// Loc is where the resolver runs.
 	Loc geo.Coord
 	// ASN is the autonomous system the resolver lives in.

@@ -4,8 +4,8 @@
 // how hard each attack runs; Compile pins every stochastic choice
 // (which VPs are bots, per-bot phases, which resolvers reflect) to
 // entity-keyed hashes of the run seed, so the same seed + schedule
-// produces byte-identical traffic at any shard/worker/scheduler
-// layout — exactly the contract the fault injector established.
+// produces byte-identical traffic at any shard count — exactly the
+// contract the fault injector established.
 //
 // Three attack families from the NXNSAttack literature (PAPERS.md):
 //

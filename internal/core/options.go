@@ -7,7 +7,6 @@ import (
 	"ritw/internal/atlas"
 	"ritw/internal/faults"
 	"ritw/internal/measure"
-	"ritw/internal/netsim"
 	"ritw/internal/obs"
 	"ritw/internal/resolver"
 )
@@ -70,17 +69,6 @@ type RunOpts struct {
 	// byte-identical at any shard count; shards only change wall-clock
 	// time, which is what makes million-VP runs tractable.
 	Shards int
-	// Scheduler selects each lane's event scheduler (see
-	// measure.RunConfig.Scheduler; default the reference binary heap).
-	// Like Shards it is a wall-clock knob only — both schedulers
-	// produce byte-identical datasets.
-	Scheduler netsim.SchedulerKind
-	// Workers distributes each run's lanes over that many `ritw
-	// lane-worker` subprocesses speaking the lanewire protocol (see
-	// measure.RunConfig.Workers). 0 keeps every lane in-process.
-	// Another wall-clock knob: datasets are byte-identical at any
-	// process layout.
-	Workers int
 	// SnapshotFor, if set, supplies a snapshot/resume spec per run,
 	// keyed like SinkFor (see measure.RunConfig.Snapshot and the key
 	// scheme on SinkFor). Returning nil leaves that run without
@@ -166,7 +154,7 @@ func WithBackoff(b *resolver.BackoffConfig) Option {
 
 // WithMix re-draws every resolver's behaviour (kind, infra cache,
 // singleflight, qname minimization) from the share table, entity-keyed
-// so datasets stay byte-identical at any shard/worker/scheduler layout
+// so datasets stay byte-identical at any shard count
 // (see measure.RunConfig.Mix). nil keeps the population's own kinds.
 func WithMix(mix []atlas.PolicyShare) Option {
 	return func(o *RunOpts) { o.Mix = mix }
@@ -177,26 +165,6 @@ func WithMix(mix []atlas.PolicyShare) Option {
 // shard count; only wall-clock time changes.
 func WithShards(n int) Option {
 	return func(o *RunOpts) { o.Shards = n }
-}
-
-// WithScheduler selects the simulator's event scheduler for every lane
-// (netsim.SchedHeap, the default reference heap, or netsim.SchedWheel,
-// the timing wheel — faster at large event depths). Datasets are
-// byte-identical under either scheduler; only wall-clock time changes.
-func WithScheduler(k netsim.SchedulerKind) Option {
-	return func(o *RunOpts) { o.Scheduler = k }
-}
-
-// WithWorkers distributes each run's lanes over n `ritw lane-worker`
-// subprocesses (n <= 0 keeps lanes in-process). Like WithShards this
-// never changes results — only wall-clock time and the process layout.
-func WithWorkers(n int) Option {
-	return func(o *RunOpts) {
-		if n < 0 {
-			n = 0
-		}
-		o.Workers = n
-	}
 }
 
 // WithSnapshot checkpoints every run at instant boundaries using the
@@ -244,8 +212,6 @@ func (o RunOpts) runConfig(combo measure.Combination, off int64, key string) mea
 	cfg.Backoff = o.Backoff
 	cfg.Mix = o.Mix
 	cfg.Shards = o.Shards
-	cfg.Scheduler = o.Scheduler
-	cfg.Workers = o.Workers
 	if o.SnapshotFor != nil {
 		cfg.Snapshot = o.SnapshotFor(key)
 	}

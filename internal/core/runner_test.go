@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ritw/internal/measure"
-	"ritw/internal/netsim"
 	"ritw/internal/obs"
 )
 
@@ -83,29 +82,6 @@ func TestIntervalSweepParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Errorf("interval %v dataset differs between parallelism 1 and 4", intervals[i])
 		}
-	}
-}
-
-// TestSchedulerChoiceMatchesDatasets pins the API contract of
-// WithScheduler: the timing wheel must produce byte-for-byte the
-// dataset the reference heap does — scheduler choice is a wall-clock
-// knob, never a science knob.
-func TestSchedulerChoiceMatchesDatasets(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the same combination twice")
-	}
-	heap, err := RunCombinationContext(context.Background(), "2B", WithSeed(9), WithScale(ScaleSmall),
-		WithScheduler(netsim.SchedHeap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wheel, err := RunCombinationContext(context.Background(), "2B", WithSeed(9), WithScale(ScaleSmall),
-		WithScheduler(netsim.SchedWheel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(datasetBytes(t, heap), datasetBytes(t, wheel)) {
-		t.Error("heap and wheel schedulers disagree on the dataset")
 	}
 }
 

@@ -78,34 +78,6 @@ func TestAttackScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestAttackShardWorkerIdentity is the acceptance gate for the attack
-// battery's layout independence: with campaigns of every kind and a
-// live defense matrix, the sequential lane, a 4-shard run, and a
-// 4-shard run split over 2 lane-worker subprocesses must emit the
-// exact same bytes.
-func TestAttackShardWorkerIdentity(t *testing.T) {
-	cfg := attackCfg(t, 150, 23, allKindsSchedule(), attacks.Defenses{MaxFetch: 2})
-	seq, seqDS := runToCSV(t, cfg)
-
-	cfg.Shards = 4
-	sharded, shardDS := runToCSV(t, cfg)
-	if !bytes.Equal(seq, sharded) {
-		t.Errorf("4-shard attack run diverged from sequential: %s", firstDiff(sharded, seq))
-	}
-	if !reflect.DeepEqual(seqDS.Attacks, shardDS.Attacks) {
-		t.Errorf("sharded attack ledger diverged:\n%+v\n%+v", shardDS.Attacks, seqDS.Attacks)
-	}
-
-	cfg.Workers = 2
-	workers, workDS := runToCSV(t, cfg)
-	if !bytes.Equal(seq, workers) {
-		t.Errorf("2-worker attack run diverged from sequential: %s", firstDiff(workers, seq))
-	}
-	if !reflect.DeepEqual(seqDS.Attacks, workDS.Attacks) {
-		t.Errorf("worker attack ledger diverged:\n%+v\n%+v", workDS.Attacks, seqDS.Attacks)
-	}
-}
-
 // TestAttackFreeRunUnchanged guards the gating: a nil schedule and an
 // empty non-nil schedule must both skip attack setup entirely and
 // reproduce the plain run's bytes — adding the attacks package must

@@ -183,32 +183,32 @@ func TestBackoffShedsDeadSiteTraffic(t *testing.T) {
 	}
 }
 
-// TestLegacyOutageMergesIntoSchedule covers the RunConfig migration:
-// the old single-outage knob and the new schedule compose into one
-// injector, and same-site overlap between them is rejected.
-func TestLegacyOutageMergesIntoSchedule(t *testing.T) {
+// TestOutagesOnTwoSites: outages of different sites compose into one
+// injector that cuts both, and a same-site overlap is rejected by the
+// run before any simulation starts.
+func TestOutagesOnTwoSites(t *testing.T) {
 	t.Parallel()
 	combo, _ := CombinationByID("2B")
 	cfg := DefaultRunConfig(combo, 11)
 	pc := atlas.DefaultConfig(11)
 	pc.NumProbes = 120
 	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "FRA", Start: 10 * time.Minute, End: 20 * time.Minute}
-	cfg.Faults = &faults.Schedule{
-		Outages: []faults.Outage{{Site: "DUB", Start: 30 * time.Minute, End: 40 * time.Minute}},
-	}
+	fra := faults.Outage{Site: "FRA", Start: 10 * time.Minute, End: 20 * time.Minute}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{
+		fra, {Site: "DUB", Start: 30 * time.Minute, End: 40 * time.Minute},
+	}}
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ds.Faults.Cut["FRA"]) == 0 || len(ds.Faults.Cut["DUB"]) == 0 {
-		t.Errorf("merged schedule should cut both sites: %+v", ds.Faults.Cut)
+		t.Errorf("schedule should cut both sites: %+v", ds.Faults.Cut)
 	}
 
-	cfg.Faults = &faults.Schedule{
-		Outages: []faults.Outage{{Site: "FRA", Start: 15 * time.Minute, End: 25 * time.Minute}},
-	}
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{
+		fra, {Site: "FRA", Start: 15 * time.Minute, End: 25 * time.Minute},
+	}}
 	if _, err := Run(cfg); err == nil {
-		t.Error("overlapping legacy outage + scheduled outage on one site should fail validation")
+		t.Error("overlapping outages on one site should fail validation")
 	}
 }

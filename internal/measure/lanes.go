@@ -20,62 +20,28 @@ type laneReport struct {
 	Attacks *attacks.Report
 }
 
-// LaneRunner executes the lanes of a planned run and streams each
-// lane's canonically-ordered batches to the caller's merger. Two
-// implementations exist: goroutineLanes (one goroutine per shard in
-// this process, the default) and processLanes (lanes distributed over
-// `ritw lane-worker` subprocesses speaking the lanewire protocol).
-// Both deliver sorted streams drawn from the same canonical total
-// order (emittedLess), so the merged dataset is byte-identical
-// whatever the process layout — the contract TestWorkersMatchInProcess
-// pins on top of TestShardedMatchesSequential.
-type LaneRunner interface {
-	// streams is how many sorted record streams the runner produces:
-	// one per lane for goroutine lanes, one per worker process for
-	// process lanes. Workers pre-merge their own lanes before shipping;
-	// merging sorted streams under a total order is associative, so the
-	// grouping never changes the final sequence. Pre-merging also keeps
-	// one pipe per worker, which avoids head-of-line deadlock between
-	// bounded per-lane buffers multiplexed on a single descriptor.
-	streams() int
-	// runLanes executes every lane, sending sorted batches into
-	// outs[i] and closing each channel when stream i ends. It returns
-	// per-lane reports (zero-valued entries when the run has no fault
-	// or attack schedule) and the run's primary error. ctx is the run's shared cancellable
-	// context and cancel its cause-carrying cancel: a failing lane
-	// calls cancel(err) — before its stream closes — so siblings stop
-	// promptly (first-error-wins, errgroup style) AND the parent merge
-	// sees ctx cancelled before any stream ends, which is what keeps
-	// post-failure records out of sinks and snapshots.
-	runLanes(ctx context.Context, cancel context.CancelCauseFunc, cfg RunConfig, pl *runPlan, sched *faults.Schedule, outs []chan<- []emitted, metrics *obs.Registry) ([]laneReport, error)
-}
-
-// laneRunnerFor selects the execution backend from cfg.Workers
-// (validated in RunContext: 0 ≤ Workers ≤ shards).
-func laneRunnerFor(cfg RunConfig, pl *runPlan) (LaneRunner, error) {
-	if cfg.Workers > 0 {
-		return newProcessLanes(cfg.Workers, pl.nShards)
-	}
-	return &goroutineLanes{lanes: pl.nShards}, nil
-}
-
-// goroutineLanes is the in-process backend: one goroutine per shard.
-type goroutineLanes struct{ lanes int }
-
-func (g *goroutineLanes) streams() int { return g.lanes }
-
-func (g *goroutineLanes) runLanes(ctx context.Context, cancel context.CancelCauseFunc, cfg RunConfig, pl *runPlan, sched *faults.Schedule, outs []chan<- []emitted, metrics *obs.Registry) ([]laneReport, error) {
-	reports := make([]laneReport, g.lanes)
-	errs := make([]error, g.lanes)
+// runLanes executes every lane of the planned run, one goroutine per
+// shard, sending each lane's canonically-ordered batches into outs[s]
+// and closing the channel when lane s ends. It returns per-lane reports
+// (zero-valued entries when the run has no fault or attack schedule)
+// and the run's primary error. ctx is the run's shared cancellable
+// context and cancel its cause-carrying cancel: a failing lane calls
+// cancel(err) — before its stream closes — so siblings stop promptly
+// (first-error-wins, errgroup style) AND the merge sees ctx cancelled
+// before any stream ends, which is what keeps post-failure records out
+// of sinks and snapshots.
+func runLanes(ctx context.Context, cancel context.CancelCauseFunc, cfg RunConfig, pl *runPlan, outs []chan []emitted, metrics *obs.Registry) ([]laneReport, error) {
+	reports := make([]laneReport, pl.nShards)
+	errs := make([]error, pl.nShards)
 	var wg sync.WaitGroup
-	for s := 0; s < g.lanes; s++ {
+	for s := 0; s < pl.nShards; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
 			defer close(outs[s])
 			start := time.Now()
 			var n int64
-			reports[s], n, errs[s] = runOneShard(ctx, cfg, pl, sched, s, outs[s], metrics)
+			reports[s], n, errs[s] = runOneShard(ctx, cfg, pl, s, outs[s], metrics)
 			observeLane(metrics, s, n, time.Since(start))
 			if errs[s] != nil {
 				// First failure aborts the siblings instead of letting
@@ -108,9 +74,6 @@ func firstLaneError(ctx context.Context, errs []error) error {
 
 // observeLane records one finished lane in the run's registry: a
 // per-lane record counter and wall-clock gauge, plus the lane total.
-// Both backends route through here exactly once per lane — in-process
-// lanes directly, worker lanes when the parent receives the lane-done
-// frame — so the parent registry reads the same whatever the layout.
 func observeLane(reg *obs.Registry, lane int, records int64, wall time.Duration) {
 	if reg == nil {
 		return

@@ -2,22 +2,20 @@ package measure
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"ritw/internal/atlas"
-	"ritw/internal/geo"
 	"ritw/internal/netsim"
 	"ritw/internal/resolver"
 )
 
-// mixTestShares is the fleet mixture the layout tests run: the
-// calibrated paper mixture plus a probe-top-N segment with
-// singleflight and qname minimization on, so the engine paths those
-// flags gate are inside the byte-identity loop.
+// mixTestShares is the fleet mixture the layout cross-check runs (the
+// "mix" row of layoutCases): the calibrated paper mixture plus a
+// probe-top-N segment with singleflight and qname minimization on, so
+// the engine paths those flags gate are inside the byte-identity loop.
 func mixTestShares() []atlas.PolicyShare {
 	mix := atlas.PaperMix()
 	mix = append(mix, atlas.PolicyShare{
@@ -38,48 +36,6 @@ func mixCfg(t *testing.T, probes int, seed int64) RunConfig {
 	cfg := shardCfg(t, "2B", probes, seed)
 	cfg.Mix = mixTestShares()
 	return cfg
-}
-
-// TestMixLayoutIdentity is the fleet-mix acceptance gate: with a
-// non-nil mix (including modern segments), the dataset must be
-// byte-identical across {1,4} shards x {in-process, 2 workers} x
-// {heap, wheel} — the entity-keyed assignment may not depend on lane
-// membership, process layout, or scheduler.
-func TestMixLayoutIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full layout matrix")
-	}
-	t.Parallel()
-	base := mixCfg(t, 150, 23)
-	wantCSV, wantDS := runToCSV(t, base)
-	if len(wantDS.Records) == 0 {
-		t.Fatal("mixed run produced no records")
-	}
-	for _, shards := range []int{1, 4} {
-		for _, workers := range []int{0, 2} {
-			for _, sched := range []netsim.SchedulerKind{netsim.SchedHeap, netsim.SchedWheel} {
-				if workers > shards {
-					continue
-				}
-				cfg := base
-				cfg.Shards = shards
-				cfg.Workers = workers
-				cfg.Scheduler = sched
-				name := fmt.Sprintf("shards=%d workers=%d sched=%v", shards, workers, sched)
-				gotCSV, gotDS := runToCSV(t, cfg)
-				if !bytes.Equal(gotCSV, wantCSV) {
-					t.Fatalf("%s: CSV stream differs from baseline\n%s",
-						name, firstDiff(gotCSV, wantCSV))
-				}
-				if !reflect.DeepEqual(gotDS.Records, wantDS.Records) {
-					t.Fatalf("%s: materialized query records differ", name)
-				}
-				if !reflect.DeepEqual(gotDS.AuthRecords, wantDS.AuthRecords) {
-					t.Fatalf("%s: auth records differ", name)
-				}
-			}
-		}
-	}
 }
 
 // TestMixChangesBehaviourButNotTopology: the mix re-draw must actually
@@ -170,38 +126,5 @@ func TestShareAtEntityKeyed(t *testing.T) {
 		if got < want-0.02 || got > want+0.02 {
 			t.Errorf("%v share %.3f, want %.3f±0.02", m.Kind, got, want)
 		}
-	}
-}
-
-// TestMixFreeJobWireCompat guards the lanewire protocol: a mix-free
-// job must serialize without the Mix field at all, so run fingerprints
-// and snapshots taken before the field existed stay valid.
-func TestMixFreeJobWireCompat(t *testing.T) {
-	t.Parallel()
-	cfg := shardCfg(t, "2B", 120, 7)
-	pop, err := atlas.Generate(cfg.Population)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topLevelHasMix := func(cfg RunConfig) bool {
-		pl := planRun(cfg, pop, geo.DefaultPathModel(), 1)
-		j := laneJobFor(cfg, pl, nil)
-		b, err := json.Marshal(&j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fields map[string]json.RawMessage
-		if err := json.Unmarshal(b, &fields); err != nil {
-			t.Fatal(err)
-		}
-		_, ok := fields["Mix"]
-		return ok
-	}
-	if topLevelHasMix(cfg) {
-		t.Fatal("mix-free laneJob serialized a Mix field; old fingerprints/snapshots break")
-	}
-	cfg.Mix = mixTestShares()
-	if !topLevelHasMix(cfg) {
-		t.Fatal("mixed laneJob dropped the Mix field")
 	}
 }

@@ -46,9 +46,6 @@ type OpenResolverConfig struct {
 	// Dataset.
 	Sink       Sink
 	StreamOnly bool
-	// Scheduler selects the simulator's event scheduler, as in
-	// RunConfig: a wall-clock knob only, never a science knob.
-	Scheduler netsim.SchedulerKind
 	// OnAssign, if set, observes each open resolver's drawn policy at
 	// population-build time (before the simulation starts). Purely
 	// observational — it must not (and cannot) perturb the build's RNG
@@ -106,7 +103,7 @@ func RunOpenResolversContext(ctx context.Context, cfg OpenResolverConfig) (*Data
 		return nil, fmt.Errorf("measure: empty mixture")
 	}
 
-	sim := netsim.NewSimulatorKind(cfg.Scheduler)
+	sim := netsim.NewSimulator()
 	net := netsim.NewNetwork(sim, geo.DefaultPathModel(), cfg.Seed+1)
 	ds := &Dataset{
 		ComboID:  cfg.Combo.ID + "-open",

@@ -5,8 +5,14 @@ import (
 	"time"
 
 	"ritw/internal/atlas"
+	"ritw/internal/faults"
 	"ritw/internal/geo"
 )
+
+// outageOf is the one-site outage schedule.
+func outageOf(site string, start, end time.Duration) *faults.Schedule {
+	return &faults.Schedule{Outages: []faults.Outage{{Site: site, Start: start, End: end}}}
+}
 
 // outageRun executes 2B with FRA down for the middle 20 minutes.
 func outageRun(t *testing.T) *Dataset {
@@ -19,7 +25,7 @@ func outageRun(t *testing.T) *Dataset {
 	pc := atlas.DefaultConfig(31)
 	pc.NumProbes = 400
 	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}
+	cfg.Faults = outageOf("FRA", 20*time.Minute, 40*time.Minute)
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +104,11 @@ func TestOutageValidation(t *testing.T) {
 	pc := atlas.DefaultConfig(1)
 	pc.NumProbes = 20
 	cfg.Population = pc
-	cfg.Outage = &Outage{Site: "SYD", Start: 0, End: time.Minute}
+	cfg.Faults = outageOf("SYD", 0, time.Minute)
 	if _, err := Run(cfg); err == nil {
 		t.Error("outage for a site not in the combination should fail")
 	}
-	cfg.Outage = &Outage{Site: "FRA", Start: time.Minute, End: time.Minute}
+	cfg.Faults = outageOf("FRA", time.Minute, time.Minute)
 	if _, err := Run(cfg); err == nil {
 		t.Error("empty outage window should fail")
 	}

@@ -107,15 +107,11 @@ type RunConfig struct {
 	// PathModel overrides the latency model (nil = geo.DefaultPathModel),
 	// used by the jitter-scaling ablation.
 	PathModel *geo.PathModel
-	// Outage, if set, takes one authoritative site down for part of
-	// the run — the §7 "Other Considerations" scenario (a DDoS or
-	// failure at one site) that motivates multiple authoritatives.
-	// It is shorthand for a one-entry Faults schedule and may be
-	// combined with Faults (both are merged and validated together).
-	Outage *Outage
-	// Faults, if set, is the full fault schedule for the run: multiple
-	// overlapping site outages, flapping, loss bursts, latency
-	// inflation and partial partitions, all consulted per packet and
+	// Faults, if set, is the fault schedule for the run: site outages
+	// (the §7 "Other Considerations" scenario — a DDoS or failure at one
+	// site — that motivates multiple authoritatives), flapping, loss
+	// bursts, latency inflation and partial partitions, possibly
+	// overlapping across sites, all consulted per packet and
 	// reproducible from the run seed (the injector draws from its own
 	// Seed+7 stream, so a fault-free schedule leaves the dataset
 	// byte-identical to a run without one).
@@ -125,7 +121,7 @@ type RunConfig struct {
 	// reflection, compiled onto the run's own Seed+11 keyed stream. An
 	// empty (or nil) schedule leaves the dataset byte-identical to a
 	// run without one, and an attacked run keeps the full determinism
-	// contract at any shard/worker/scheduler layout.
+	// contract at any shard count.
 	Attacks *attacks.Schedule
 	// Defense is the resolver-side defense matrix (MaxFetch referral
 	// budget, negative-cache toggle) applied to every resolver in the
@@ -144,7 +140,7 @@ type RunConfig struct {
 	// consumes population or network randomness, so the topology,
 	// address plan and every other seeded stream are untouched, and it
 	// is layout-independent — mixed-fleet datasets stay byte-identical
-	// at any Shards/Workers/Scheduler combination. Public anycast sites
+	// at any Shards value. Public anycast sites
 	// skip Sticky draws, mirroring the population synthesizer. nil
 	// keeps the population's own per-resolver kinds (atlas.Config.Mix).
 	Mix []atlas.PolicyShare
@@ -176,37 +172,14 @@ type RunConfig struct {
 	// byte-identical at any shard count, including 1. Shards trade
 	// memory (per-shard worlds) for wall-clock time; see DESIGN.md §8.4.
 	Shards int
-	// Workers moves lane execution out of process: the run re-execs its
-	// own binary as that many `ritw lane-worker` subprocesses, each
-	// simulating a round-robin subset of the lanes and streaming its
-	// pre-merged records back over the lanewire protocol (0 = in-process
-	// goroutine lanes). Like Shards this is purely a deployment knob:
-	// the dataset is byte-identical at any workers × shards layout,
-	// which TestWorkersMatchInProcess pins. Requires 0 ≤ Workers ≤
-	// effective shard count. See DESIGN.md §8.7.
-	Workers int
 	// Snapshot, if set, checkpoints the merge frontier to
 	// Snapshot.Path at instant boundaries and — with Snapshot.Resume —
 	// verifies and skips a previously-checkpointed prefix, so
 	// interrupted campaigns restart from the last checkpoint instead of
 	// from zero. See SnapshotSpec.
 	Snapshot *SnapshotSpec
-	// Scheduler selects the simulator's event scheduler for every lane
-	// (default SchedHeap, the reference binary heap; SchedWheel is the
-	// hierarchical timing wheel, faster at large event depths). Like
-	// Shards this is a wall-clock knob, never a science knob: both
-	// schedulers execute events in exactly ascending (time, id) order,
-	// so the dataset is byte-identical either way — a contract
-	// TestWheelMatchesHeapDataset pins. See DESIGN.md §8.5.
+	// Scheduler has one value and is kept only for bench/sim.go's assignment to it.
 	Scheduler netsim.SchedulerKind
-}
-
-// Outage describes a site failure window within a run.
-type Outage struct {
-	// Site is the airport code of the failing authoritative.
-	Site string
-	// Start and End bound the failure in virtual time from run start.
-	Start, End time.Duration
 }
 
 // DefaultRunConfig returns the paper's standard setup for a combo.
@@ -289,20 +262,9 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 	sink := streamTarget(ds, cfg)
 	emit, emitAuth := instrumentedEmit(sink, cfg.Metrics)
 
-	// Merge the legacy one-site Outage shorthand into the fault
-	// schedule and validate it up front; each shard compiles it into a
-	// per-packet injector once addresses are planned.
-	sched := cfg.Faults
-	if cfg.Outage != nil {
-		merged := faults.Schedule{}
-		if sched != nil {
-			merged = *sched
-		}
-		merged.Outages = append(append([]faults.Outage(nil), merged.Outages...),
-			faults.Outage{Site: cfg.Outage.Site, Start: cfg.Outage.Start, End: cfg.Outage.End})
-		sched = &merged
-	}
-	if err := sched.Validate(); err != nil {
+	// Validate the schedules up front; each shard compiles them into
+	// its per-packet injector once addresses are planned.
+	if err := cfg.Faults.Validate(); err != nil {
 		sink.Close()
 		return nil, err
 	}
@@ -315,20 +277,12 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 	if nShards < 1 {
 		nShards = 1
 	}
-	if cfg.Workers < 0 {
-		sink.Close()
-		return nil, fmt.Errorf("measure: workers must be >= 0, got %d", cfg.Workers)
-	}
-	if cfg.Workers > nShards {
-		sink.Close()
-		return nil, fmt.Errorf("measure: %d workers need at least as many shards, got %d (workers without a lane would idle)", cfg.Workers, nShards)
-	}
 	pl := planRun(cfg, pop, model, nShards)
 	pl.popCfg = popCfg
 	ds.SiteAddr = pl.siteAddr
 	ds.ActiveProbes = len(pl.active)
 
-	rep, atkRep, err := runShards(ctx, cfg, pl, sched, emit, emitAuth, cfg.Metrics)
+	rep, atkRep, err := runShards(ctx, cfg, pl, emit, emitAuth, cfg.Metrics)
 	if err != nil {
 		sink.Close()
 		return nil, err

@@ -63,7 +63,7 @@ type plannedProbe struct {
 type runPlan struct {
 	model        geo.PathModel
 	pop          *atlas.Population
-	popCfg       atlas.Config // resolved population config, for worker job specs
+	popCfg       atlas.Config // resolved population config, for the snapshot fingerprint
 	siteAddr     map[string]netip.Addr
 	resolverAddr []netip.Addr
 	publicAddr   netip.Addr
@@ -180,9 +180,7 @@ func planRun(cfg RunConfig, pop *atlas.Population, model geo.PathModel, nShards 
 // (Seed+13, keyed by the resolver's stable name). The draw is a pure
 // function of (seed, mix, name): it consumes no RNG state, so the
 // population synthesis, the address plan, churn and catchments are all
-// untouched, and because planRun executes identically in the parent
-// and in every lane worker, all process layouts agree on the
-// assignment. Public anycast sites skip Sticky draws, mirroring
+// untouched. Public anycast sites skip Sticky draws, mirroring
 // atlas.pickPublicKind.
 func applyMix(cfg RunConfig, pop *atlas.Population) []atlas.ResolverSpec {
 	if len(cfg.Mix) == 0 {
@@ -416,20 +414,16 @@ func (e *shardEmitter) flush() {
 	}
 }
 
-// runShards executes the planned run across the plan's shards — via
-// goroutine lanes or worker processes, per cfg.Workers — and feeds the
-// merged canonical record stream into emit/emitAuth on the caller's
-// goroutine. It returns the merged fault and attack reports (nil
-// without the respective schedule) and the run's primary error. When
+// runShards executes the planned run across the plan's shards, one
+// goroutine lane each, and feeds the merged canonical record stream
+// into emit/emitAuth on the caller's goroutine. It returns the merged
+// fault and attack reports (nil without the respective schedule) and
+// the run's primary error. When
 // snapshotting is configured it checkpoints the merge frontier at
 // instant boundaries and, on resume, verifies and skips the
 // already-durable prefix.
-func runShards(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Schedule, emit func(QueryRecord), emitAuth func(AuthRecord), metrics *obs.Registry) (*faults.Report, *attacks.Report, error) {
-	runner, err := laneRunnerFor(cfg, pl)
-	if err != nil {
-		return nil, nil, err
-	}
-	sn, err := newSnapshotter(cfg, pl, sched)
+func runShards(ctx context.Context, cfg RunConfig, pl *runPlan, emit func(QueryRecord), emitAuth func(AuthRecord), metrics *obs.Registry) (*faults.Report, *attacks.Report, error) {
+	sn, err := newSnapshotter(cfg, pl)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -438,11 +432,9 @@ func runShards(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Sc
 	if sn != nil {
 		sn.abort = cancel
 	}
-	chans := make([]chan []emitted, runner.streams())
-	outs := make([]chan<- []emitted, len(chans))
+	chans := make([]chan []emitted, pl.nShards)
 	for i := range chans {
 		chans[i] = make(chan []emitted, 8)
-		outs[i] = chans[i]
 	}
 	var (
 		reports []laneReport
@@ -451,7 +443,7 @@ func runShards(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Sc
 	)
 	go func() {
 		defer close(done)
-		reports, runErr = runner.runLanes(rctx, cancel, cfg, pl, sched, outs, metrics)
+		reports, runErr = runLanes(rctx, cancel, cfg, pl, chans, metrics)
 	}()
 	mergeStreams(chans, func(stream int, rec emitted) {
 		if rctx.Err() != nil {
@@ -490,8 +482,8 @@ func runShards(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Sc
 	return faults.MergeReports(fr...), attacks.MergeReports(ar...), nil
 }
 
-// mergeStreams k-way merges the per-lane (or per-worker) canonical
-// streams into deliver. Each stream arrives sorted by (time, record
+// mergeStreams k-way merges the per-lane canonical streams into
+// deliver. Each stream arrives sorted by (time, record
 // key); repeatedly taking the smallest head yields the one global
 // canonical order, whatever the stream count. The merge naturally
 // paces itself to the slowest stream and the bounded channels
@@ -543,8 +535,8 @@ func mergeStreams(chans []chan []emitted, deliver func(stream int, rec emitted))
 // exactly the outcomes the sequential run would for its slice of the
 // population. It returns the lane's fault and attack reports (nil
 // without the respective schedule) and how many records it emitted.
-func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.Schedule, s int, out chan<- []emitted, metrics *obs.Registry) (laneReport, int64, error) {
-	sim := netsim.NewSimulatorKind(cfg.Scheduler)
+func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, s int, out chan<- []emitted, metrics *obs.Registry) (laneReport, int64, error) {
+	sim := netsim.NewSimulator()
 	net := netsim.NewNetwork(sim, pl.model, cfg.Seed+1)
 	net.LossRate = cfg.LossRate
 	net.UseKeyedRand(uint64(cfg.Seed + 1))
@@ -650,8 +642,8 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 	// derives the same affected sets) and samples bursts keyed, so the
 	// consult streams line up with the sequential run.
 	var inj *faults.Injector
-	if !sched.Empty() {
-		inj, err = faults.Compile(sched, faults.Bindings{
+	if !cfg.Faults.Empty() {
+		inj, err = faults.Compile(cfg.Faults, faults.Bindings{
 			SiteAddr:  pl.siteAddr,
 			Resolvers: pl.resolverAddr,
 		}, cfg.Seed+7)
@@ -816,7 +808,7 @@ func runOneShard(ctx context.Context, cfg RunConfig, pl *runPlan, sched *faults.
 	}
 
 	// Test-only seam: a lane failure injected at a virtual instant, for
-	// the sibling-cancellation regression test. Scheduling it last keeps
+	// the sibling-cancellation and fail-resume regression tests. Scheduling it last keeps
 	// it off every production path (the hook is nil outside tests).
 	runCtx := ctx
 	if hook := testLaneFail; hook != nil {

@@ -1,14 +1,21 @@
 package measure
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
+	"math"
+	"net/netip"
 	"os"
 	"time"
 
+	"ritw/internal/atlas"
+	"ritw/internal/attacks"
 	"ritw/internal/faults"
-	"ritw/internal/lanewire"
+	"ritw/internal/geo"
+	"ritw/internal/resolver"
 )
 
 // SnapshotSpec configures run checkpointing (RunConfig.Snapshot). The
@@ -40,14 +47,10 @@ type SnapshotSpec struct {
 }
 
 // snapshotVersion guards the snapshot file layout.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Snapshot is the on-disk checkpoint state. Fingerprint covers every
-// config field that shapes the record stream — but deliberately not
-// the process layout (shards, workers, scheduler), which byte-identity
-// makes interchangeable, and not Duration: the simulation is causal,
-// so a longer run reproduces a shorter run's stream as its prefix,
-// which is what lets a finished replay be incrementally extended.
+// config field that shapes the record stream (see runFingerprint).
 type Snapshot struct {
 	Version     int
 	Fingerprint uint64
@@ -55,20 +58,19 @@ type Snapshot struct {
 	Frontier time.Duration
 	// Records counts canonical records delivered up to the frontier.
 	Records int64
-	// StreamCRC is the running CRC-32 (IEEE) of the lanewire encoding
-	// of those records, in canonical order.
+	// StreamCRC is the running CRC-32 (IEEE) of the appendEmitted
+	// encoding of those records, in canonical order.
 	StreamCRC uint32
-	// LaneRecords are per-stream record tallies at the checkpoint
-	// (per lane in-process, per worker with Workers > 0) — diagnostic
-	// only, since the stream layout may legally differ on resume.
+	// LaneRecords are per-lane record tallies at the checkpoint —
+	// diagnostic only, since the shard count may legally differ on
+	// resume.
 	LaneRecords []int64
 	// OutBytes is the durable output offset reported by Sync (-1 when
 	// no Sync hook was configured).
 	OutBytes int64
-	// Shards and Workers record the layout that wrote the checkpoint
-	// (informational; resume does not require them to match).
-	Shards  int
-	Workers int
+	// Shards records the layout that wrote the checkpoint
+	// (informational; resume does not require it to match).
+	Shards int
 }
 
 // LoadSnapshot reads and validates a snapshot file.
@@ -102,7 +104,98 @@ func writeSnapshot(path string, s *Snapshot) error {
 	return nil
 }
 
+// runFingerprint hashes exactly the parameters that shape the record
+// stream, for snapshot compatibility checks. The shard count is
+// excluded because byte-identity makes layouts interchangeable, and
+// Duration is excluded because the simulation is causal: a longer run
+// reproduces a shorter run's stream as a prefix, which is what allows
+// extending a finished replay from its snapshot. Population and Model
+// are the resolved values from the plan, not cfg's possibly-zero ones.
+func runFingerprint(cfg RunConfig, pl *runPlan) uint64 {
+	fp := struct {
+		Combo         Combination
+		Interval      time.Duration
+		Seed          int64
+		Population    atlas.Config
+		ChurnRate     float64
+		LossRate      float64
+		ClientTimeout time.Duration
+		IPv6Subset    bool
+		Model         geo.PathModel
+		Faults        *faults.Schedule
+		Backoff       *resolver.BackoffConfig
+		Attacks       *attacks.Schedule
+		Defense       attacks.Defenses
+		Mix           []atlas.PolicyShare
+	}{
+		Combo:         cfg.Combo,
+		Interval:      cfg.Interval,
+		Seed:          cfg.Seed,
+		Population:    pl.popCfg,
+		ChurnRate:     cfg.ChurnRate,
+		LossRate:      cfg.LossRate,
+		ClientTimeout: cfg.ClientTimeout,
+		IPv6Subset:    cfg.IPv6Subset,
+		Model:         pl.model,
+		Faults:        cfg.Faults,
+		Backoff:       cfg.Backoff,
+		Defense:       cfg.Defense,
+		Mix:           cfg.Mix,
+	}
+	if !cfg.Attacks.Empty() {
+		// An empty schedule produces the attack-free stream, so it must
+		// fingerprint like nil.
+		fp.Attacks = cfg.Attacks
+	}
+	b, err := json.Marshal(&fp)
+	if err != nil {
+		// Every field is a plain value; Marshal cannot fail on them.
+		panic("measure: fingerprinting run config: " + err.Error())
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
 var crcTable = crc32.MakeTable(crc32.IEEE)
+
+// appendEmitted appends rec's binary encoding to b — the unit
+// StreamCRC hashes. Integers that are non-negative by construction
+// (IDs, sequence numbers, virtual times) are uvarints; RTTms is its
+// exact IEEE-754 bit pattern; addresses are length-prefixed netip
+// marshal form (which preserves the 4-byte/16-byte distinction).
+func appendEmitted(b []byte, rec *emitted) []byte {
+	appendString := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	appendAddr := func(a netip.Addr) {
+		raw, _ := a.MarshalBinary() // never fails for zoneless addrs
+		b = append(b, byte(len(raw)))
+		b = append(b, raw...)
+	}
+	b = binary.AppendUvarint(b, uint64(rec.at))
+	if !rec.query {
+		b = append(b, 0)
+		appendString(rec.a.Site)
+		appendAddr(rec.a.Src)
+		appendString(rec.a.QName)
+		return binary.AppendUvarint(b, uint64(rec.a.At))
+	}
+	b = append(b, 1)
+	b = binary.AppendUvarint(b, uint64(rec.q.ProbeID))
+	appendAddr(rec.q.Resolver)
+	appendString(rec.q.VPKey)
+	b = append(b, byte(rec.q.Continent))
+	b = binary.AppendUvarint(b, uint64(rec.q.Seq))
+	b = binary.AppendUvarint(b, uint64(rec.q.SentAt))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(rec.q.RTTms))
+	appendString(rec.q.Site)
+	if rec.q.OK {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
 
 // snapshotter observes the merged canonical stream inside runShards:
 // it maintains the record count and running CRC, writes checkpoints at
@@ -111,13 +204,12 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // lane-cancel hook rather than after a full (possibly week-long)
 // drain.
 type snapshotter struct {
-	spec    *SnapshotSpec
-	fp      uint64
-	every   time.Duration
-	nextAt  time.Duration
-	verify  *Snapshot // loaded snapshot being re-verified, nil otherwise
-	shards  int
-	workers int
+	spec   *SnapshotSpec
+	fp     uint64
+	every  time.Duration
+	nextAt time.Duration
+	verify *Snapshot // loaded snapshot being re-verified, nil otherwise
+	shards int
 
 	n       int64
 	crc     uint32
@@ -129,7 +221,7 @@ type snapshotter struct {
 }
 
 // newSnapshotter returns nil when the run has no snapshot spec.
-func newSnapshotter(cfg RunConfig, pl *runPlan, sched *faults.Schedule) (*snapshotter, error) {
+func newSnapshotter(cfg RunConfig, pl *runPlan) (*snapshotter, error) {
 	spec := cfg.Snapshot
 	if spec == nil {
 		return nil, nil
@@ -141,12 +233,11 @@ func newSnapshotter(cfg RunConfig, pl *runPlan, sched *faults.Schedule) (*snapsh
 		return nil, fmt.Errorf("measure: snapshot interval must be >= 0, got %v", spec.Every)
 	}
 	sn := &snapshotter{
-		spec:    spec,
-		fp:      runFingerprint(cfg, pl, sched),
-		every:   spec.Every,
-		nextAt:  spec.Every,
-		shards:  pl.nShards,
-		workers: cfg.Workers,
+		spec:   spec,
+		fp:     runFingerprint(cfg, pl),
+		every:  spec.Every,
+		nextAt: spec.Every,
+		shards: pl.nShards,
 	}
 	if spec.Resume {
 		snap, err := LoadSnapshot(spec.Path)
@@ -190,8 +281,7 @@ func (sn *snapshotter) observe(stream int, rec emitted) {
 			sn.nextAt += sn.every
 		}
 	}
-	w := wireFromEmitted(&rec)
-	sn.buf = lanewire.AppendRecord(sn.buf[:0], &w)
+	sn.buf = appendEmitted(sn.buf[:0], &rec)
 	sn.crc = crc32.Update(sn.crc, crcTable, sn.buf)
 	sn.n++
 	sn.lastAt = rec.at
@@ -217,7 +307,6 @@ func (sn *snapshotter) checkpoint() error {
 		LaneRecords: append([]int64(nil), sn.perLane...),
 		OutBytes:    -1,
 		Shards:      sn.shards,
-		Workers:     sn.workers,
 	}
 	if sn.spec.Sync != nil {
 		off, err := sn.spec.Sync()

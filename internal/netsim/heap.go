@@ -2,18 +2,17 @@ package netsim
 
 import "time"
 
-// event is one queued callback. Stored by value everywhere — in heap
-// nodes, wheel slots and the wheel's due buffer — so the schedulers
-// never allocate per event (the closure a caller passes is the only
-// allocation, and it belongs to the caller).
+// event is one queued callback. Stored by value in the heap, so the
+// queue never allocates per event (the closure a caller passes is the
+// only allocation, and it belongs to the caller).
 type event struct {
 	at  time.Duration
 	seq uint64 // FIFO tiebreak for equal timestamps
 	fn  func()
 }
 
-// eventLess is the one total order every scheduler implements:
-// ascending time, scheduling order within an instant.
+// eventLess is the queue's total order: ascending time, scheduling
+// order within an instant.
 func eventLess(a, b event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -25,8 +24,7 @@ func eventLess(a, b event) bool {
 // a value slice. Hand-rolled instead of container/heap because the
 // stdlib interface boxes every element through `any`, which costs an
 // allocation per Push/Pop — on a path run once per simulated packet,
-// that boxing dominated the heap's own work. The same helpers back the
-// wheel's per-tick due buffer.
+// that boxing dominated the heap's own work.
 func heapPushEvent(h *[]event, ev event) {
 	*h = append(*h, ev)
 	s := *h
@@ -68,20 +66,24 @@ func heapPopEvent(h *[]event) event {
 	return top
 }
 
-// heapScheduler is the reference Scheduler: one flat binary min-heap.
+// heapScheduler is the simulator's event queue: one flat binary
+// min-heap (DESIGN.md §8.5). The zero value is an empty queue. It is a
+// single-goroutine structure, like the Simulator that owns it.
 type heapScheduler struct {
 	h []event
 }
 
-func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
-
-// Push implements Scheduler.
+// Push enqueues fn at absolute virtual time at. seq is the simulator's
+// monotone scheduling counter and breaks ties between events at the
+// same instant (FIFO by scheduling order).
 func (s *heapScheduler) Push(at time.Duration, seq uint64, fn func()) {
 	heapPushEvent(&s.h, event{at: at, seq: seq, fn: fn})
 }
 
-// PopLE implements Scheduler.
-func (s *heapScheduler) PopLE(limit time.Duration) (time.Duration, func(), bool) {
+// PopLE removes and returns the earliest event — smallest at, then
+// smallest seq — whose timestamp is <= limit. ok is false when no such
+// event is pending (the queue may still hold later events).
+func (s *heapScheduler) PopLE(limit time.Duration) (at time.Duration, fn func(), ok bool) {
 	if len(s.h) == 0 || s.h[0].at > limit {
 		return 0, nil, false
 	}
@@ -89,5 +91,5 @@ func (s *heapScheduler) PopLE(limit time.Duration) (time.Duration, func(), bool)
 	return ev.at, ev.fn, true
 }
 
-// Len implements Scheduler.
+// Len returns the number of pending events.
 func (s *heapScheduler) Len() int { return len(s.h) }

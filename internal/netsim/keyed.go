@@ -102,9 +102,8 @@ func CatchmentKey(seed uint64, src, service netip.Addr) uint64 {
 // of the named entity (a resolver's stable population name) under the
 // given run seed. Keying by name — never by index, address, or shard —
 // makes the assignment a pure function of (seed, name): it survives
-// any re-partitioning of the population across shards, workers, or
-// schedulers, which is what keeps mixed-fleet datasets byte-identical
-// at every layout.
+// any re-partitioning of the population across shards, which is what
+// keeps mixed-fleet datasets byte-identical at every shard count.
 func MixKey(seed uint64, entity string) uint64 {
 	// FNV-64a over the name, finalized through the mix stream's salt.
 	h := uint64(14695981039346656037)

@@ -1,366 +1,72 @@
 package netsim
 
 import (
-	"math/rand"
-	"os"
 	"testing"
 	"time"
 )
 
-// schedRecorder drives one scheduler through a deterministic workload
-// and records the exact execution order as (at, seq) pairs.
-type schedRecord struct {
-	at  time.Duration
-	seq uint64
-}
-
-// runSchedWorkload replays the same seeded workload on a fresh
-// simulator of kind k: a mix of near-future (sub-ms to ~200ms),
-// mid-future (seconds), far-future (minutes to hours) and beyond-span
-// (>5h) delays, same-instant bursts, and events that reschedule
-// children — the shapes a real run produces, plus the overflow and
-// cascade paths a real run rarely exercises.
-func runSchedWorkload(t *testing.T, k SchedulerKind, seed int64) []schedRecord {
-	t.Helper()
-	sim := NewSimulatorKind(k)
-	rng := rand.New(rand.NewSource(seed))
-	var order []schedRecord
-	var record func()
-	depth := 0
-	record = func() {
-		order = append(order, schedRecord{at: sim.Now(), seq: uint64(len(order))})
-		if depth < 20000 && rng.Float64() < 0.6 {
-			depth++
-			// Reschedule a child with a delay profile mirroring packet
-			// traffic: mostly RTT-scale, a tail of timers.
-			var d time.Duration
-			switch r := rng.Float64(); {
-			case r < 0.70:
-				d = time.Duration(rng.Intn(200_000)) * time.Microsecond
-			case r < 0.85:
-				d = time.Duration(rng.Intn(30)) * time.Second
-			case r < 0.95:
-				d = time.Duration(rng.Intn(240)) * time.Minute
-			default:
-				d = 5*time.Hour + time.Duration(rng.Intn(3600))*time.Second
-			}
-			sim.Schedule(d, record)
-		}
+// TestSchedulerSameInstantSeqOrder pins the tiebreak inside one
+// instant: events sharing a timestamp run in ascending seq, whatever
+// was pushed or popped in between.
+func TestSchedulerSameInstantSeqOrder(t *testing.T) {
+	var s heapScheduler
+	var got []uint64
+	rec := func(seq uint64) func() { return func() { got = append(got, seq) } }
+	s.Push(300*time.Millisecond, 1, rec(1))
+	s.Push(100*time.Millisecond, 2, rec(2))
+	at, fn, ok := s.PopLE(time.Hour)
+	if !ok || at != 100*time.Millisecond {
+		t.Fatalf("first pop at=%v ok=%v", at, ok)
 	}
-	// Seed the run with bursts at identical instants to stress FIFO
-	// tiebreaks, including several at t=0 and on exact tick boundaries.
-	for i := 0; i < 200; i++ {
-		switch i % 4 {
-		case 0:
-			sim.Schedule(0, record)
-		case 1:
-			sim.Schedule(time.Duration(i/4)*time.Millisecond, record)
-		case 2:
-			sim.Schedule(time.Duration(i)*time.Millisecond+time.Duration(rng.Intn(1000))*time.Microsecond, record)
-		default:
-			sim.Schedule(time.Duration(rng.Intn(7200))*time.Second, record)
-		}
-	}
-	sim.Run()
-	if sim.Pending() != 0 {
-		t.Fatalf("kind %v: %d events left after Run", k, sim.Pending())
-	}
-	return order
-}
-
-// TestWheelMatchesHeapOrder pins the tentpole contract at the netsim
-// layer: both schedulers execute the identical event sequence.
-func TestWheelMatchesHeapOrder(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		heapOrder := runSchedWorkload(t, SchedHeap, seed)
-		wheelOrder := runSchedWorkload(t, SchedWheel, seed)
-		if len(heapOrder) != len(wheelOrder) {
-			t.Fatalf("seed %d: heap ran %d events, wheel %d", seed, len(heapOrder), len(wheelOrder))
-		}
-		for i := range heapOrder {
-			if heapOrder[i] != wheelOrder[i] {
-				t.Fatalf("seed %d: divergence at event %d: heap %+v wheel %+v",
-					seed, i, heapOrder[i], wheelOrder[i])
-			}
-		}
-		// The order itself must be ascending in time.
-		for i := 1; i < len(heapOrder); i++ {
-			if heapOrder[i].at < heapOrder[i-1].at {
-				t.Fatalf("seed %d: time went backwards at event %d", seed, i)
-			}
-		}
-	}
-}
-
-// TestWheelCascadeSeqTiebreak pins the REVIEW-flagged inversion: two
-// events at the same instant, one pushed far in advance (parked in
-// level 1 and cascaded into its level-0 slot later) and one pushed
-// close-in (directly into that slot, before the cascade). The cascade
-// appends the older, lower-seq event *behind* the newer direct push,
-// so any slot-position tiebreak runs them inverted; the contract order
-// is ascending seq, identical to the heap.
-func TestWheelCascadeSeqTiebreak(t *testing.T) {
-	for _, k := range []SchedulerKind{SchedHeap, SchedWheel} {
-		s := NewScheduler(k)
-		var got []uint64
-		rec := func(seq uint64) func() { return func() { got = append(got, seq) } }
-		s.Push(300*time.Millisecond, 1, rec(1)) // 300 ticks out: level 1
-		s.Push(100*time.Millisecond, 2, rec(2))
-		at, fn, ok := s.PopLE(time.Hour)
-		if !ok || at != 100*time.Millisecond {
-			t.Fatalf("%v: first pop at=%v ok=%v", k, at, ok)
-		}
-		fn()                                    // cursor now sits at tick 100
-		s.Push(300*time.Millisecond, 3, rec(3)) // same instant, close-in: level 0
-		for {
-			_, fn, ok := s.PopLE(time.Hour)
-			if !ok {
-				break
-			}
-			fn()
-		}
-		want := []uint64{2, 1, 3}
-		if len(got) != len(want) {
-			t.Fatalf("%v: ran %d events, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: order %v, want %v", k, got, want)
-			}
-		}
-	}
-}
-
-// TestWheelSameInstantAcrossCursorDistances is the differential form:
-// every target instant collides a far-in-advance push (>=256 ticks, so
-// it rides a cascade) with a close-in push made 10ms before the
-// instant. Heap and wheel must execute the identical sequence.
-func TestWheelSameInstantAcrossCursorDistances(t *testing.T) {
-	run := func(k SchedulerKind) []schedRecord {
-		sim := NewSimulatorKind(k)
-		var order []schedRecord
-		// Each recording event carries a distinct identity assigned in
-		// (deterministic) creation order, so a same-instant swap shows
-		// up as a record mismatch rather than two identical records
-		// trading places.
-		var next uint64
-		mk := func() func() {
-			next++
-			id := next
-			return func() { order = append(order, schedRecord{at: sim.Now(), seq: id}) }
-		}
-		// Two leads: 10ms usually lands after the target's cascade
-		// boundary (slot filled by cascade first, direct push second),
-		// 60ms lands before it for targets just past a 256ms boundary
-		// (direct push first, cascade appends the older event behind
-		// it — the inversion-prone order).
-		for _, lead := range []time.Duration{10 * time.Millisecond, 60 * time.Millisecond} {
-			lead := lead
-			for j := 2; j <= 40; j++ {
-				target := time.Duration(j) * 50 * time.Millisecond
-				sim.Schedule(target, mk()) // from t=0: level 1+ once j >= 6
-				inner := mk()
-				sim.Schedule(target-lead, func() {
-					sim.Schedule(lead, inner) // same instant, pushed close-in
-				})
-			}
-		}
-		sim.Run()
-		return order
-	}
-	heapOrder := run(SchedHeap)
-	wheelOrder := run(SchedWheel)
-	if len(heapOrder) != len(wheelOrder) {
-		t.Fatalf("heap ran %d events, wheel %d", len(heapOrder), len(wheelOrder))
-	}
-	for i := range heapOrder {
-		if heapOrder[i] != wheelOrder[i] {
-			t.Fatalf("divergence at event %d: heap %+v wheel %+v",
-				i, heapOrder[i], wheelOrder[i])
-		}
-	}
-}
-
-// TestSchedulerPopLE checks the limit semantics both implementations
-// share: events after the limit stay queued, same-tick events after
-// the limit are not released early.
-func TestSchedulerPopLE(t *testing.T) {
-	for _, k := range []SchedulerKind{SchedHeap, SchedWheel} {
-		s := NewScheduler(k)
-		s.Push(1500*time.Microsecond, 1, func() {})
-		s.Push(1700*time.Microsecond, 2, func() {})
-		s.Push(3*time.Millisecond, 3, func() {})
-		if _, _, ok := s.PopLE(1 * time.Millisecond); ok {
-			t.Fatalf("%v: popped an event before its time", k)
-		}
-		at, _, ok := s.PopLE(1600 * time.Microsecond)
-		if !ok || at != 1500*time.Microsecond {
-			t.Fatalf("%v: want 1.5ms event, got at=%v ok=%v", k, at, ok)
-		}
-		// 1.7ms shares the 1ms tick with 1.5ms but exceeds the limit.
-		if _, _, ok := s.PopLE(1600 * time.Microsecond); ok {
-			t.Fatalf("%v: released a same-tick event past the limit", k)
-		}
-		if got := s.Len(); got != 2 {
-			t.Fatalf("%v: Len = %d, want 2", k, got)
-		}
-		at, _, ok = s.PopLE(time.Hour)
-		if !ok || at != 1700*time.Microsecond {
-			t.Fatalf("%v: want 1.7ms event, got at=%v ok=%v", k, at, ok)
-		}
-		at, _, ok = s.PopLE(time.Hour)
-		if !ok || at != 3*time.Millisecond {
-			t.Fatalf("%v: want 3ms event, got at=%v ok=%v", k, at, ok)
-		}
-		if s.Len() != 0 {
-			t.Fatalf("%v: queue not drained", k)
-		}
-	}
-}
-
-// TestWheelSparseSkipAhead covers the skip-ahead path: a handful of
-// events hours apart must pop in order without a per-tick crawl (the
-// test would time out if advance were O(ticks) without the jump).
-func TestWheelSparseSkipAhead(t *testing.T) {
-	s := NewScheduler(SchedWheel)
-	delays := []time.Duration{
-		12 * time.Hour, 3 * time.Second, 9 * time.Hour,
-		100 * time.Millisecond, 47 * time.Minute, 5 * time.Hour,
-	}
-	for i, d := range delays {
-		s.Push(d, uint64(i+1), func() {})
-	}
-	var got []time.Duration
+	fn()
+	s.Push(300*time.Millisecond, 3, rec(3)) // same instant as seq 1, pushed later
 	for {
-		at, _, ok := s.PopLE(24 * time.Hour)
+		_, fn, ok := s.PopLE(time.Hour)
 		if !ok {
 			break
 		}
-		got = append(got, at)
+		fn()
 	}
-	want := []time.Duration{
-		100 * time.Millisecond, 3 * time.Second, 47 * time.Minute,
-		5 * time.Hour, 9 * time.Hour, 12 * time.Hour,
-	}
+	want := []uint64{2, 1, 3}
 	if len(got) != len(want) {
-		t.Fatalf("popped %d events, want %d", len(got), len(want))
+		t.Fatalf("ran %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("event %d: got %v want %v", i, got[i], want[i])
+			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
 }
 
-// TestParseSchedulerKind covers the flag surface.
-func TestParseSchedulerKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SchedulerKind
-	}{{"heap", SchedHeap}, {"wheel", SchedWheel}} {
-		got, err := ParseSchedulerKind(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSchedulerKind(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() round-trip broke: %q -> %q", tc.in, got.String())
-		}
+// TestSchedulerPopLE checks the limit semantics: events after the
+// limit stay queued and are not released early.
+func TestSchedulerPopLE(t *testing.T) {
+	var s heapScheduler
+	s.Push(1500*time.Microsecond, 1, func() {})
+	s.Push(1700*time.Microsecond, 2, func() {})
+	s.Push(3*time.Millisecond, 3, func() {})
+	if _, _, ok := s.PopLE(1 * time.Millisecond); ok {
+		t.Fatal("popped an event before its time")
 	}
-	if _, err := ParseSchedulerKind("fifo"); err == nil {
-		t.Fatal("ParseSchedulerKind accepted an unknown kind")
+	at, _, ok := s.PopLE(1600 * time.Microsecond)
+	if !ok || at != 1500*time.Microsecond {
+		t.Fatalf("want 1.5ms event, got at=%v ok=%v", at, ok)
 	}
-}
-
-// steadyStateChurn measures the per-event cost with depth events in
-// flight: pop the earliest, reschedule it a bounded delay ahead — the
-// shape of the per-packet path in a full-scale run.
-func steadyStateChurn(b *testing.B, k SchedulerKind, depth int) {
-	s := NewScheduler(k)
-	fn := func() {}
-	rng := rand.New(rand.NewSource(1))
-	delays := make([]time.Duration, 4096)
-	for i := range delays {
-		// 0–400ms: RTT-scale timers dominate full-scale event loops.
-		delays[i] = time.Duration(rng.Intn(400_000)) * time.Microsecond
+	if _, _, ok := s.PopLE(1600 * time.Microsecond); ok {
+		t.Fatal("released an event past the limit")
 	}
-	seq := uint64(0)
-	for i := 0; i < depth; i++ {
-		seq++
-		s.Push(delays[i%len(delays)], seq, fn)
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len = %d, want 2", got)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		at, _, ok := s.PopLE(maxDeadline)
-		if !ok {
-			b.Fatal("queue unexpectedly empty")
-		}
-		seq++
-		s.Push(at+delays[i%len(delays)], seq, fn)
+	at, _, ok = s.PopLE(time.Hour)
+	if !ok || at != 1700*time.Microsecond {
+		t.Fatalf("want 1.7ms event, got at=%v ok=%v", at, ok)
 	}
-}
-
-// BenchmarkWheelVsHeap compares event-loop throughput at full-scale
-// queue depths. The ISSUE-6 acceptance bar (wheel >= 1.5x heap per
-// lane at the 1M-depth point, 0 allocs/op on the wheel path) is
-// recorded in BENCH.md.
-func BenchmarkWheelVsHeap(b *testing.B) {
-	for _, depth := range []int{1_000, 100_000, 1_000_000} {
-		for _, k := range []SchedulerKind{SchedHeap, SchedWheel} {
-			b.Run(k.String()+"/depth="+itoa(depth), func(b *testing.B) {
-				steadyStateChurn(b, k, depth)
-			})
-		}
+	at, _, ok = s.PopLE(time.Hour)
+	if !ok || at != 3*time.Millisecond {
+		t.Fatalf("want 3ms event, got at=%v ok=%v", at, ok)
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-// TestWheelHotPathZeroAllocGate is the env-gated bench gate from
-// ISSUE 6: with RITW_BENCH_GATE=1 it pins the wheel's steady-state
-// per-event path (Push + PopLE with the slot capacity warmed) to zero
-// allocations. Deterministic — it counts allocations, not time — so
-// it is safe to enforce in CI.
-func TestWheelHotPathZeroAllocGate(t *testing.T) {
-	if os.Getenv("RITW_BENCH_GATE") != "1" {
-		t.Skip("set RITW_BENCH_GATE=1 to enforce the wheel zero-alloc gate")
-	}
-	s := NewScheduler(SchedWheel)
-	fn := func() {}
-	seq := uint64(0)
-	// Warm the slot and due-heap capacities the loop will reuse.
-	for i := 0; i < 4096; i++ {
-		seq++
-		s.Push(time.Duration(i%200)*time.Millisecond, seq, fn)
-	}
-	for {
-		if _, _, ok := s.PopLE(maxDeadline); !ok {
-			break
-		}
-	}
-	var now time.Duration
-	allocs := testing.AllocsPerRun(10000, func() {
-		seq++
-		s.Push(now+time.Duration(seq%200)*time.Millisecond, seq, fn)
-		at, _, ok := s.PopLE(maxDeadline)
-		if !ok {
-			t.Fatal("queue unexpectedly empty")
-		}
-		now = at
-	})
-	if allocs != 0 {
-		t.Fatalf("wheel hot path allocates %.1f allocs/op, want 0", allocs)
+	if s.Len() != 0 {
+		t.Fatal("queue not drained")
 	}
 }

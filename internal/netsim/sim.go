@@ -17,11 +17,10 @@ import (
 )
 
 // Simulator is a deterministic discrete-event executor with a virtual
-// clock. The zero value is not usable; create one with NewSimulator
-// (binary-heap event queue) or NewSimulatorKind (choice of Scheduler).
+// clock over a binary-heap event queue. Create one with NewSimulator.
 type Simulator struct {
 	now    time.Duration
-	sched  Scheduler
+	sched  heapScheduler
 	nextID uint64
 	events *obs.Counter
 }
@@ -33,18 +32,15 @@ func (s *Simulator) SetMetrics(r *obs.Registry) {
 	s.events = r.Counter("netsim_events_total")
 }
 
-// NewSimulator returns an empty simulator at virtual time zero, using
-// the reference binary-heap scheduler.
-func NewSimulator() *Simulator {
-	return NewSimulatorKind(SchedHeap)
-}
+// SchedulerKind has one value; kept only for bench/sim.go's `cfg.Scheduler = netsim.SchedHeap`.
+type SchedulerKind uint8
 
-// NewSimulatorKind returns an empty simulator at virtual time zero
-// using the given scheduler. The choice affects wall-clock performance
-// only: both schedulers execute events in the identical order, so any
-// seeded run produces byte-identical results under either.
-func NewSimulatorKind(k SchedulerKind) *Simulator {
-	return &Simulator{sched: NewScheduler(k)}
+// SchedHeap is SchedulerKind's one value, kept only for that assignment.
+const SchedHeap SchedulerKind = 0
+
+// NewSimulator returns an empty simulator at virtual time zero.
+func NewSimulator() *Simulator {
+	return &Simulator{}
 }
 
 // Now returns the current virtual time.

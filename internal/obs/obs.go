@@ -319,60 +319,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Merge folds a snapshot taken elsewhere — typically in a lane-worker
-// subprocess — into this registry: counters add, gauges set (last
-// writer wins, matching their live semantics), histograms add
-// bucket-wise. A histogram absent here is created with the snapshot's
-// bounds; one present with different bounds is reported as an error
-// and skipped, because summing mismatched buckets would fabricate a
-// distribution. A nil registry merges nothing and returns nil.
-func (r *Registry) Merge(s Snapshot) error {
-	if r == nil {
-		return nil
-	}
-	for name, v := range s.Counters {
-		r.Counter(name).Add(v)
-	}
-	for name, v := range s.Gauges {
-		r.Gauge(name).Set(v)
-	}
-	var firstErr error
-	for name, hs := range s.Histograms {
-		h := r.Histogram(name, hs.Bounds)
-		if len(h.bounds) != len(hs.Bounds) || len(h.buckets) != len(hs.Counts) {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("obs: merge histogram %q: bounds mismatch (%v vs %v)", name, h.bounds, hs.Bounds)
-			}
-			continue
-		}
-		mismatch := false
-		for i, b := range h.bounds {
-			if b != hs.Bounds[i] {
-				mismatch = true
-				break
-			}
-		}
-		if mismatch {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("obs: merge histogram %q: bounds mismatch (%v vs %v)", name, h.bounds, hs.Bounds)
-			}
-			continue
-		}
-		for i, c := range hs.Counts {
-			h.buckets[i].Add(c)
-		}
-		h.count.Add(hs.Count)
-		for {
-			old := h.sumBits.Load()
-			next := math.Float64bits(math.Float64frombits(old) + hs.Sum)
-			if h.sumBits.CompareAndSwap(old, next) {
-				break
-			}
-		}
-	}
-	return firstErr
-}
-
 // WriteText writes the registry in Prometheus text exposition format:
 // counters and gauges as `name value`, histograms as cumulative
 // `_bucket{le="..."}` series plus `_sum` and `_count`. Instrument

@@ -234,57 +234,3 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Errorf("bucket sum = %d, want %d", bucketSum, total)
 	}
 }
-
-// TestRegistryMerge pins the cross-process aggregation semantics the
-// lane-worker path relies on: counters add, gauges take the snapshot's
-// value, histograms add bucket-wise, and a bounds mismatch is refused
-// rather than silently mis-summed.
-func TestRegistryMerge(t *testing.T) {
-	parent := NewRegistry()
-	parent.Counter("events_total").Add(10)
-	parent.Gauge("lane_wallclock_ms{lane=\"0\"}").Set(5)
-	parent.Histogram("rtt_ms", []float64{1, 10}).Observe(0.5)
-
-	worker := NewRegistry()
-	worker.Counter("events_total").Add(7)
-	worker.Counter("packets_total").Add(3)
-	worker.Gauge("lane_wallclock_ms{lane=\"1\"}").Set(9)
-	h := worker.Histogram("rtt_ms", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(100)
-	worker.Histogram("fresh", []float64{2}).Observe(1)
-
-	if err := parent.Merge(worker.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	s := parent.Snapshot()
-	if got := s.Counter("events_total"); got != 17 {
-		t.Errorf("merged counter = %d, want 17", got)
-	}
-	if got := s.Counter("packets_total"); got != 3 {
-		t.Errorf("new counter = %d, want 3", got)
-	}
-	if got := s.Gauge("lane_wallclock_ms{lane=\"1\"}"); got != 9 {
-		t.Errorf("merged gauge = %v, want 9", got)
-	}
-	hs := s.Histograms["rtt_ms"]
-	if hs.Count != 3 || hs.Counts[0] != 2 || hs.Counts[2] != 1 {
-		t.Errorf("merged histogram = %+v, want 3 samples (2 low, 1 +Inf)", hs)
-	}
-	if fresh := s.Histograms["fresh"]; fresh.Count != 1 || len(fresh.Bounds) != 1 {
-		t.Errorf("absent histogram should be created from snapshot bounds, got %+v", fresh)
-	}
-
-	bad := NewRegistry()
-	bad.Histogram("rtt_ms", []float64{1, 10, 100}).Observe(1)
-	if err := parent.Merge(bad.Snapshot()); err == nil {
-		t.Error("bounds mismatch should be reported")
-	}
-	if again := parent.Snapshot().Histograms["rtt_ms"]; again.Count != 3 {
-		t.Errorf("mismatched merge must not mutate the histogram, count = %d", again.Count)
-	}
-	var nilReg *Registry
-	if err := nilReg.Merge(worker.Snapshot()); err != nil {
-		t.Errorf("nil registry merge: %v", err)
-	}
-}
