@@ -8,12 +8,13 @@ import (
 )
 
 // Checked-in budgets for the serving hot path. The recorded baseline is
-// 78 allocs/op and 2771 B/op (see BENCH.md); the budgets leave ~25%
-// headroom for toolchain drift, so tripping one means a real
-// regression — a new allocation on the per-query path — not noise.
+// 16 allocs/op and 1032 B/op with wire-form names (78 and 2771 with the
+// label-slice names before them); the budgets leave 10% headroom for
+// toolchain drift, so tripping one means a real regression — a new
+// allocation on the per-query path — not noise.
 const (
-	serveUDPAllocBudget = 96
-	serveUDPBytesBudget = 4096
+	serveUDPAllocBudget = 18
+	serveUDPBytesBudget = 1136
 )
 
 // TestBenchGateServeUDP is the CI bench regression gate for

@@ -378,13 +378,18 @@ func (e *Engine) countResponse(start time.Time) {
 	e.mu.Unlock()
 }
 
+// The CHAOS-class names that ask a server for its identity.
+var (
+	hostnameBind = dnswire.MustParseName("hostname.bind")
+	idServer     = dnswire.MustParseName("id.server")
+)
+
 // answerChaos serves hostname.bind / id.server from the site identity
 // and reports whether it did (the caller counts it under the lock).
 // The paper's measurement deliberately avoids CHAOS (a recursive
 // answers it itself); we serve it so the contrast is demonstrable.
 func (e *Engine) answerChaos(resp *dnswire.Message, q dnswire.Question) bool {
-	name := q.Name.Key()
-	if q.Type == dnswire.TypeTXT && (name == "hostname.bind." || name == "id.server.") && e.cfg.Identity != "" {
+	if q.Type == dnswire.TypeTXT && (q.Name.Equal(hostnameBind) || q.Name.Equal(idServer)) && e.cfg.Identity != "" {
 		resp.Authoritative = true
 		resp.Answers = []dnswire.RR{{
 			Name:  q.Name,
@@ -447,13 +452,17 @@ func (e *Engine) zoneFor(qname dnswire.Name) *zone.Zone {
 // addGlue fills the additional section with addresses for NS targets
 // named in the authority section.
 func (e *Engine) addGlue(resp *dnswire.Message, z *zone.Zone) {
-	seen := make(map[string]bool)
+	seen := make(map[dnswire.Name]bool)
 	for _, rr := range resp.Authority {
 		ns, ok := rr.Data.(dnswire.NS)
-		if !ok || seen[ns.Host.Key()] {
+		if !ok {
 			continue
 		}
-		seen[ns.Host.Key()] = true
+		host := ns.Host.Canonical()
+		if seen[host] {
+			continue
+		}
+		seen[host] = true
 		for _, typ := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
 			res := z.Lookup(ns.Host, typ)
 			if res.Kind == zone.Success {

@@ -79,6 +79,42 @@ func TestBenchGateStreamingRetainedHeap(t *testing.T) {
 	}
 }
 
+// Budgets for one small-scale 2B run on one lane, the run
+// BenchmarkShardedRun/shards=1 times: 1.69 M allocations and 181 MB
+// with wire-form names (4.80 M and 274 MB with the label-slice names
+// before them), plus 10%. Both counts repeat to within a few objects,
+// so tripping one means a layer under the lane — codec, zone, engines,
+// netsim — started allocating per packet again.
+const (
+	simRunAllocBudget = 1_860_000
+	simRunBytesBudget = 200_000_000
+)
+
+// TestBenchGateSimAllocs is the CI regression gate for the allocation
+// cost of the simulated measurement hour. Gated behind
+// RITW_BENCH_GATE=1.
+func TestBenchGateSimAllocs(t *testing.T) {
+	if os.Getenv("RITW_BENCH_GATE") == "" {
+		t.Skip("set RITW_BENCH_GATE=1 to run the bench regression gate")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := RunCombinationContext(context.Background(), "2B",
+		WithSeed(42), WithScale(ScaleSmall), WithShards(1)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("2B small, 1 shard: %d allocations, %d bytes", allocs, bytes)
+	if allocs > simRunAllocBudget {
+		t.Errorf("run allocates %d objects, budget %d", allocs, simRunAllocBudget)
+	}
+	if bytes > simRunBytesBudget {
+		t.Errorf("run allocates %d bytes, budget %d", bytes, simRunBytesBudget)
+	}
+}
+
 // TestBenchGateShardedRun is the CI regression gate for
 // BenchmarkShardedRun: splitting a run across 8 simulation lanes must
 // actually buy wall-clock time on parallel hardware, and must never

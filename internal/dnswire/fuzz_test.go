@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,6 +17,11 @@ import (
 // Pack(Unpack(Pack(m))) is byte-identical to Pack(m). The servers sit
 // on this path for every hostile packet the soak tests throw, so the
 // decoder must never panic and never accept what it cannot re-emit.
+//
+// It is also the equivalence oracle for the wire-form Name: Unpack must
+// accept exactly what the label-slice reference decoder accepts, with
+// the same error otherwise, and every decoded name must agree with the
+// reference name (see checkNamesAgainstReference).
 func FuzzParseMessage(f *testing.F) {
 	q := NewQuery(0x1234, MustParseName("www.ourtestdomain.nl."), TypeA)
 	q.SetEDNS0(DefaultEDNSSize, true)
@@ -41,9 +47,14 @@ func FuzzParseMessage(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unpack(data)
+		refNames, refErr := refUnpack(data)
+		if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("Unpack: %v, reference decoder: %v", err, refErr)
+		}
 		if err != nil {
 			return
 		}
+		checkNamesAgainstReference(t, messageNames(m), refNames)
 		packed, err := m.Pack()
 		if err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)
@@ -67,6 +78,54 @@ func FuzzParseMessage(f *testing.F) {
 			t.Fatalf("Pack is not a fixpoint:\n%x\n%x", packed, packed2)
 		}
 	})
+}
+
+// checkNamesAgainstReference compares every decoded name with the
+// reference decoder's: spelling, label count and the Parent chain
+// always; Key, Equal and IsSubdomainOf against every other name of the
+// message whenever both are hostname-like — the reference's Unicode
+// folding and dot-joined keys identify different names only outside
+// that set, and there the live code is the one that is right.
+func checkNamesAgainstReference(t *testing.T, names []Name, refs []refName) {
+	t.Helper()
+	if len(names) != len(refs) {
+		t.Fatalf("decoded %d names, reference %d", len(names), len(refs))
+	}
+	for i, n := range names {
+		for r := refs[i]; ; n, r = n.Parent(), r.Parent() {
+			if got := n.Labels(); len(got) != len(r.labels) || (len(got) > 0 && !reflect.DeepEqual(got, r.labels)) {
+				t.Fatalf("name %d: labels %q, reference %q", i, got, r.labels)
+			}
+			if n.String() != r.String() || n.NumLabels() != len(r.labels) || n.IsRoot() != (len(r.labels) == 0) {
+				t.Fatalf("name %d: %q (%d labels), reference %q (%d)", i, n, n.NumLabels(), r, len(r.labels))
+			}
+			if !n.Equal(n.Canonical()) || !n.IsSubdomainOf(n.Parent()) {
+				t.Fatalf("name %d: %q is not Equal to its canonical form or not under its parent", i, n)
+			}
+			if r.hostnameLike() && n.Key() != r.Key() {
+				t.Fatalf("name %d: Key %q, reference %q", i, n.Key(), r.Key())
+			}
+			if n.IsRoot() {
+				break
+			}
+		}
+	}
+	for i, a := range names {
+		if !refs[i].hostnameLike() {
+			continue
+		}
+		for j, b := range names {
+			if !refs[j].hostnameLike() {
+				continue
+			}
+			if a.Equal(b) != refs[i].Equal(refs[j]) || (a.Canonical() == b.Canonical()) != refs[i].Equal(refs[j]) {
+				t.Fatalf("Equal(%q, %q) = %v, reference %v", a, b, a.Equal(b), refs[i].Equal(refs[j]))
+			}
+			if a.IsSubdomainOf(b) != refs[i].IsSubdomainOf(refs[j]) {
+				t.Fatalf("IsSubdomainOf(%q, %q) = %v, reference %v", a, b, a.IsSubdomainOf(b), refs[i].IsSubdomainOf(refs[j]))
+			}
+		}
+	}
 }
 
 // corpusSeeds loads the checked-in seed inputs of another fuzz target
@@ -113,6 +172,12 @@ func corpusSeeds(f *testing.F, target string) [][]byte {
 // pooled buffer or a TCP length prefix must never leak into the
 // encoding. Back-to-back appends into one buffer (the TCP path) must
 // hold the same way.
+//
+// It is the encoder half of the Name equivalence oracle too: for
+// messages whose names are all hostname-like the output must equal the
+// map-backed reference compressor's byte for byte (same pointer
+// choices), and every message must decode back to the names it was
+// built from, octet for octet.
 func FuzzAppendPack(f *testing.F) {
 	for _, seed := range corpusSeeds(f, "FuzzParseMessage") {
 		f.Add(seed, uint8(0))
@@ -127,6 +192,26 @@ func FuzzAppendPack(f *testing.F) {
 		packed, err := m.Pack()
 		if err != nil {
 			t.Fatalf("accepted message does not Pack: %v", err)
+		}
+		names := messageNames(m)
+		hostnames := true
+		for _, n := range names {
+			hostnames = hostnames && refFromName(n).hostnameLike()
+		}
+		if hostnames {
+			ref, err := refAppendPack(nil, m)
+			if err != nil || !bytes.Equal(packed, ref) {
+				t.Fatalf("encoding differs from the reference encoder's (err %v):\n%x\n%x", err, packed, ref)
+			}
+		}
+		back, err := Unpack(packed)
+		if err != nil {
+			t.Fatalf("re-encoded message does not parse: %v", err)
+		}
+		for i, n := range messageNames(back) {
+			if n != names[i] {
+				t.Fatalf("name %d came back as %q, was %q", i, n.Labels(), names[i].Labels())
+			}
 		}
 
 		prefix := bytes.Repeat([]byte{0xA5}, int(prefixLen))

@@ -14,6 +14,13 @@ const (
 	DefaultEDNSSize = 1232
 )
 
+// The shortest encodings of a question (root name, type, class) and of
+// a record (root owner, type, class, TTL, RDLENGTH).
+const (
+	minQuestionLen = 1 + 4
+	minRRLen       = 1 + 10
+)
+
 // ErrNotAQuestion is returned when a response builder is handed a
 // message without a question section.
 var ErrNotAQuestion = errors.New("dnswire: message has no question")
@@ -120,7 +127,16 @@ func (m *Message) AppendPack(dst []byte) ([]byte, error) {
 	binary.BigEndian.PutUint16(msg[base+8:], uint16(len(m.Authority)))
 	binary.BigEndian.PutUint16(msg[base+10:], uint16(len(m.Additional)))
 
-	c := newCompressor(base)
+	c := compressors.Get().(*compressor)
+	c.entries, c.base = c.entries[:0], base
+	msg, err := m.appendSections(msg, c)
+	compressors.Put(c)
+	return msg, err
+}
+
+// appendSections encodes the four sections behind an already written
+// header.
+func (m *Message) appendSections(msg []byte, c *compressor) ([]byte, error) {
 	for _, q := range m.Questions {
 		msg = c.appendName(msg, q.Name)
 		msg = binary.BigEndian.AppendUint16(msg, uint16(q.Type))
@@ -192,8 +208,14 @@ func Unpack(b []byte) (*Message, error) {
 	ns := int(binary.BigEndian.Uint16(b[8:]))
 	ar := int(binary.BigEndian.Uint16(b[10:]))
 
+	// Each section is sized once, from its header count clamped to what
+	// the remaining bytes could possibly hold, so a 12-byte packet
+	// claiming 65,535 records reserves nothing.
 	off := 12
 	var err error
+	if qd > 0 {
+		m.Questions = make([]Question, 0, min(qd, (len(b)-off)/minQuestionLen))
+	}
 	for i := 0; i < qd; i++ {
 		var q Question
 		q.Name, off, err = decodeName(b, off)
@@ -208,19 +230,24 @@ func Unpack(b []byte) (*Message, error) {
 		off += 4
 		m.Questions = append(m.Questions, q)
 	}
-	for _, sec := range []struct {
-		count int
-		dst   *[]RR
-	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}} {
-		for i := 0; i < sec.count; i++ {
-			var rr RR
-			rr, off, err = decodeRR(b, off)
-			if err != nil {
-				return nil, err
-			}
-			*sec.dst = append(*sec.dst, rr)
+	// The three record sections share one backing array; each is cut to
+	// its own capacity so appending to one never reaches the next.
+	rrs := make([]RR, 0, min(an+ns+ar, (len(b)-off)/minRRLen))
+	for i := 0; i < an+ns+ar; i++ {
+		var rr RR
+		rr, off, err = decodeRR(b, off)
+		if err != nil {
+			return nil, err
 		}
+		rrs = append(rrs, rr)
 	}
+	section := func(lo, n int) []RR {
+		if n == 0 {
+			return nil
+		}
+		return rrs[lo : lo+n : lo+n]
+	}
+	m.Answers, m.Authority, m.Additional = section(0, an), section(an, ns), section(an+ns, ar)
 	return m, nil
 }
 

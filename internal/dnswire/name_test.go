@@ -151,7 +151,7 @@ func TestNameWireRoundTrip(t *testing.T) {
 }
 
 func TestCompressionRoundTrip(t *testing.T) {
-	c := newCompressor(0)
+	c := &compressor{}
 	n1 := MustParseName("www.example.nl")
 	n2 := MustParseName("mail.example.nl")
 	n3 := MustParseName("www.example.nl")
@@ -184,7 +184,7 @@ func TestCompressionRoundTrip(t *testing.T) {
 		t.Errorf("round trip: %v %v %v", d1, d2, d3)
 	}
 	// n3 must have been compressed to exactly 2 bytes.
-	n3Len := len(msg) - (firstLen + len(c.appendName(nil, n2)))
+	n3Len := len(msg) - (firstLen + len((&compressor{}).appendName(nil, n2)))
 	_ = n3Len // pointer length asserted by total size below
 	if want := firstLen + (2 + 5 + 2) + 2; len(msg) != want {
 		// n2 = "mail"(5) + pointer(2) after its first label... recompute:

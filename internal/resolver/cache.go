@@ -9,7 +9,7 @@ import (
 
 // cacheKey identifies a cached RRset.
 type cacheKey struct {
-	name  string // canonical owner
+	name  dnswire.Name // Canonical() owner
 	typ   dnswire.Type
 	class dnswire.Class
 }
@@ -50,7 +50,7 @@ func NewRecordCache() *RecordCache {
 func (c *RecordCache) Get(name dnswire.Name, typ dnswire.Type, class dnswire.Class, now time.Duration) (dnswire.RCode, []dnswire.RR, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{name.Key(), typ, class}
+	key := cacheKey{name.Canonical(), typ, class}
 	e, ok := c.entries[key]
 	if !ok || now >= e.expires {
 		if ok {
@@ -84,7 +84,7 @@ func (c *RecordCache) PutPositive(name dnswire.Name, typ dnswire.Type, class dns
 			minTTL = rr.TTL
 		}
 	}
-	c.put(cacheKey{name.Key(), typ, class}, cacheEntry{
+	c.put(cacheKey{name.Canonical(), typ, class}, cacheEntry{
 		rcode:   dnswire.RCodeNoError,
 		answers: append([]dnswire.RR(nil), answers...),
 		expires: now + time.Duration(minTTL)*time.Second,
@@ -94,7 +94,7 @@ func (c *RecordCache) PutPositive(name dnswire.Name, typ dnswire.Type, class dns
 // PutNegative caches an NXDOMAIN or NODATA for negTTL seconds (the SOA
 // minimum per RFC 2308).
 func (c *RecordCache) PutNegative(name dnswire.Name, typ dnswire.Type, class dnswire.Class, rcode dnswire.RCode, negTTL uint32, now time.Duration) {
-	c.put(cacheKey{name.Key(), typ, class}, cacheEntry{
+	c.put(cacheKey{name.Canonical(), typ, class}, cacheEntry{
 		rcode:    rcode,
 		negative: true,
 		expires:  now + time.Duration(negTTL)*time.Second,
@@ -110,8 +110,8 @@ func (c *RecordCache) put(key cacheKey, e cacheEntry) {
 	c.entries[key] = e
 }
 
-// evictSome removes up to an eighth of the entries, preferring those
-// that expire soonest found during one map walk.
+// evictSome removes an eighth of the entries, whichever a map walk
+// yields first — arbitrary victims, fresh or stale.
 func (c *RecordCache) evictSome() {
 	target := c.MaxEntries / 8
 	if target < 1 {

@@ -232,10 +232,10 @@ type pendingQuery struct {
 	// resolves. The budget lives on the root, so nested referrals —
 	// the NXNSAttack loop — are charged to the one client query that
 	// started them and terminate deterministically.
-	root    *pendingQuery   // non-nil on chase children
-	kids    int             // outstanding children (root only)
-	fetches int             // NS-target fetches charged (root only)
-	fetched map[string]bool // NS targets already handled (root only)
+	root    *pendingQuery         // non-nil on chase children
+	kids    int                   // outstanding children (root only)
+	fetches int                   // NS-target fetches charged (root only)
+	fetched map[dnswire.Name]bool // Canonical() NS targets already handled (root only)
 
 	// Singleflight bookkeeping: a leader replies to every coalesced
 	// follower when it completes.
@@ -252,7 +252,7 @@ type pendingQuery struct {
 
 // sfKey identifies a client question for singleflight coalescing.
 type sfKey struct {
-	name  string
+	name  dnswire.Name // Canonical()
 	qtype dnswire.Type
 	class dnswire.Class
 }
@@ -433,8 +433,9 @@ func (e *Engine) handleClientQuery(client netip.Addr, q *dnswire.Message) {
 		e.replyRCode(client, q, dnswire.RCodeServFail)
 		return
 	}
+	var key sfKey
 	if e.cfg.Singleflight {
-		key := sfKey{question.Name.Key(), question.Type, question.Class}
+		key = sfKey{question.Name.Canonical(), question.Type, question.Class}
 		if leader, ok := e.sf[key]; ok && !leader.done {
 			// Identical question already in flight: wait for its answer
 			// instead of spending another upstream transaction.
@@ -454,8 +455,8 @@ func (e *Engine) handleClientQuery(client netip.Addr, q *dnswire.Message) {
 	}
 	if e.cfg.Singleflight {
 		pq.sfLeader = true
-		pq.sfKey = sfKey{question.Name.Key(), question.Type, question.Class}
-		e.sf[pq.sfKey] = pq
+		pq.sfKey = key
+		e.sf[key] = pq
 		e.stats.SingleflightLeaders++
 		e.m.sfLeaders.Inc()
 	}
@@ -770,7 +771,7 @@ func (e *Engine) chaseReferralLocked(pq *pendingQuery, resp *dnswire.Message, no
 		if !ok {
 			continue
 		}
-		key := ns.Host.Key()
+		key := ns.Host.Canonical()
 		if root.fetched[key] {
 			continue
 		}
@@ -783,7 +784,7 @@ func (e *Engine) chaseReferralLocked(pq *pendingQuery, resp *dnswire.Message, no
 				// A cached target costs no fetch — which is why only
 				// cache-busting nonce targets achieve amplification.
 				if root.fetched == nil {
-					root.fetched = make(map[string]bool)
+					root.fetched = make(map[dnswire.Name]bool)
 				}
 				root.fetched[key] = true
 				continue
@@ -794,7 +795,7 @@ func (e *Engine) chaseReferralLocked(pq *pendingQuery, resp *dnswire.Message, no
 			break
 		}
 		if root.fetched == nil {
-			root.fetched = make(map[string]bool)
+			root.fetched = make(map[dnswire.Name]bool)
 		}
 		root.fetched[key] = true
 		root.fetches++
@@ -900,6 +901,12 @@ func (e *Engine) replyRCode(client netip.Addr, q *dnswire.Message, rcode dnswire
 	e.replyAnswer(client, q, rcode, nil)
 }
 
+// The CHAOS-class names that ask a server for its identity.
+var (
+	hostnameBind = dnswire.MustParseName("hostname.bind")
+	idServer     = dnswire.MustParseName("id.server")
+)
+
 // replyChaos answers CHAOS-class identity queries locally.
 func (e *Engine) replyChaos(client netip.Addr, q *dnswire.Message, question dnswire.Question) {
 	resp, err := dnswire.NewResponse(q)
@@ -907,8 +914,7 @@ func (e *Engine) replyChaos(client netip.Addr, q *dnswire.Message, question dnsw
 		return
 	}
 	resp.RecursionAvailable = true
-	name := question.Name.Key()
-	if question.Type == dnswire.TypeTXT && (name == "hostname.bind." || name == "id.server.") {
+	if question.Type == dnswire.TypeTXT && (question.Name.Equal(hostnameBind) || question.Name.Equal(idServer)) {
 		resp.Answers = []dnswire.RR{{
 			Name:  question.Name,
 			Class: dnswire.ClassCHAOS,

@@ -27,16 +27,19 @@ var (
 // Zone is an authoritative zone: an origin plus RRsets.
 type Zone struct {
 	origin dnswire.Name
+	apex   dnswire.Name // origin.Canonical(): the apex's key in nodes
 	soa    *dnswire.RR
-	// nodes maps canonical owner name -> type -> RRset.
-	nodes map[string]map[dnswire.Type][]dnswire.RR
+	// nodes maps canonical owner name -> type -> RRset. Index it only
+	// with a Canonical() name (or a slice or Wildcard of one).
+	nodes map[dnswire.Name]map[dnswire.Type][]dnswire.RR
 }
 
 // New creates an empty zone for origin.
 func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		origin: origin,
-		nodes:  make(map[string]map[dnswire.Type][]dnswire.RR),
+		apex:   origin.Canonical(),
+		nodes:  make(map[dnswire.Name]map[dnswire.Type][]dnswire.RR),
 	}
 }
 
@@ -68,7 +71,7 @@ func (z *Zone) Add(rr dnswire.RR) error {
 		z.soa = &soa
 		return nil
 	}
-	key := rr.Name.Key()
+	key := rr.Name.Canonical()
 	byType := z.nodes[key]
 	if byType == nil {
 		byType = make(map[dnswire.Type][]dnswire.RR)
@@ -99,8 +102,7 @@ func (z *Zone) NumRecords() int {
 	return n
 }
 
-// Names returns all owner names (canonical form) in sorted order,
-// excluding the apex SOA-only case.
+// ResultKind classifies the outcome of a zone lookup.
 type ResultKind uint8
 
 // Lookup outcomes, in RFC 2308 terms.
@@ -159,7 +161,10 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Result {
 		return Result{Kind: NoData, Authority: z.negativeAuthority()}
 	}
 
-	byType, exists := z.nodes[qname.Key()]
+	// Every ancestor below is a slice of the canonical qname, so the
+	// whole search keys the node index without building a name.
+	canon := qname.Canonical()
+	byType, exists := z.nodes[canon]
 	if exists {
 		if rrs := z.answer(byType, qname, qtype, false); rrs != nil {
 			return Result{Kind: Success, Records: rrs, Authority: z.apexNS()}
@@ -168,11 +173,10 @@ func (z *Zone) Lookup(qname dnswire.Name, qtype dnswire.Type) Result {
 	}
 	// Wildcard search: climb from the qname's parent to the apex
 	// looking for *.<ancestor>.
-	anc := qname.Parent()
+	anc := canon.Parent()
 	for {
-		wc, err := anc.Child("*")
-		if err == nil {
-			if byType, ok := z.nodes[wc.Key()]; ok {
+		if wc, ok := anc.Wildcard(); ok {
+			if byType, ok := z.nodes[wc]; ok {
 				if rrs := z.answer(byType, qname, qtype, true); rrs != nil {
 					return Result{Kind: Success, Records: rrs, Authority: z.apexNS(), Wildcard: true}
 				}
@@ -232,7 +236,7 @@ func (z *Zone) answer(byType map[dnswire.Type][]dnswire.RR, qname dnswire.Name, 
 
 // apexNS returns the zone's NS RRset for the authority section.
 func (z *Zone) apexNS() []dnswire.RR {
-	byType, ok := z.nodes[z.origin.Key()]
+	byType, ok := z.nodes[z.apex]
 	if !ok {
 		return nil
 	}
@@ -257,25 +261,30 @@ func (z *Zone) negativeAuthority() []dnswire.RR {
 
 // Records returns every record in the zone with the SOA first and the
 // rest in sorted owner/type order — the order a zone transfer emits.
+// Owners sort by lower-case presentation form, which is not the order
+// of the wire-form index keys ("ab" sorts before "a-b" there).
 func (z *Zone) Records() []dnswire.RR {
 	out := make([]dnswire.RR, 0, z.NumRecords())
 	if z.soa != nil {
 		out = append(out, *z.soa)
 	}
-	keys := make([]string, 0, len(z.nodes))
-	for k := range z.nodes {
-		keys = append(keys, k)
+	type owner struct {
+		key    string
+		byType map[dnswire.Type][]dnswire.RR
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		byType := z.nodes[k]
-		types := make([]int, 0, len(byType))
-		for t := range byType {
+	owners := make([]owner, 0, len(z.nodes))
+	for name, byType := range z.nodes {
+		owners = append(owners, owner{name.Key(), byType})
+	}
+	sort.Slice(owners, func(i, j int) bool { return owners[i].key < owners[j].key })
+	for _, o := range owners {
+		types := make([]int, 0, len(o.byType))
+		for t := range o.byType {
 			types = append(types, int(t))
 		}
 		sort.Ints(types)
 		for _, t := range types {
-			out = append(out, byType[dnswire.Type(t)]...)
+			out = append(out, o.byType[dnswire.Type(t)]...)
 		}
 	}
 	return out
@@ -286,26 +295,8 @@ func (z *Zone) Records() []dnswire.RR {
 func (z *Zone) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "$ORIGIN %s\n", z.origin)
-	if z.soa != nil {
-		fmt.Fprintln(&sb, z.soa.String())
-	}
-	keys := make([]string, 0, len(z.nodes))
-	for k := range z.nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		byType := z.nodes[k]
-		types := make([]int, 0, len(byType))
-		for t := range byType {
-			types = append(types, int(t))
-		}
-		sort.Ints(types)
-		for _, t := range types {
-			for _, rr := range byType[dnswire.Type(t)] {
-				fmt.Fprintln(&sb, rr.String())
-			}
-		}
+	for _, rr := range z.Records() {
+		fmt.Fprintln(&sb, rr.String())
 	}
 	return sb.String()
 }

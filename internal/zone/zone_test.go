@@ -209,3 +209,61 @@ func TestSOAAccessor(t *testing.T) {
 		t.Errorf("SOA lookup in SOA-less zone = %+v", res)
 	}
 }
+
+// TestZoneRecordsOrder pins the zone-transfer order: owners sort by
+// lower-case presentation form. The node index is keyed by wire form,
+// whose byte order differs — a length octet sorts "ab" (\x02ab) before
+// "a-b" (\x03a-b), and a shorter first label before any longer one —
+// so the owners here are chosen to tell the two orders apart.
+func TestZoneRecordsOrder(t *testing.T) {
+	origin := dnswire.MustParseName("example.nl")
+	z := New(origin)
+	z.MustAdd(dnswire.RR{Name: origin, Class: dnswire.ClassINET, TTL: 60,
+		Data: dnswire.SOA{MName: origin, RName: origin, Minimum: 60}})
+	// Inserted in wire-key order, which is not the wanted order.
+	for _, owner := range []string{"ab.example.nl", "z.example.nl", "A-B.example.nl", "example.nl", "*.example.nl"} {
+		z.MustAdd(dnswire.RR{Name: dnswire.MustParseName(owner), Class: dnswire.ClassINET, TTL: 60,
+			Data: dnswire.TXT{Strings: []string{owner}}})
+	}
+	want := []string{"example.nl.", "*.example.nl.", "A-B.example.nl.", "ab.example.nl.", "example.nl.", "z.example.nl."}
+	var got []string
+	for _, rr := range z.Records() {
+		got = append(got, rr.Name.String())
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Records() owners:\n got %v\nwant %v (SOA, then lower-case presentation order)", got, want)
+	}
+	var lines []string
+	for _, line := range strings.Split(strings.TrimSpace(z.String()), "\n")[1:] {
+		lines = append(lines, strings.Fields(line)[0])
+	}
+	if strings.Join(lines, " ") != strings.Join(want, " ") {
+		t.Errorf("String() owners %v, want %v", lines, want)
+	}
+}
+
+// TestLookupKeysWithoutAllocating pins the point of the wire-form node
+// index: a lower-case query name reaches its node, or climbs to the
+// wildcard, without building a single key. What remains is the answer
+// and authority slices handed to the caller.
+func TestLookupKeysWithoutAllocating(t *testing.T) {
+	z := testZone(t)
+	for _, c := range []struct {
+		qname string
+		want  float64
+	}{
+		{"p1234-7.ourtestdomain.nl", 2},     // wildcard: rewritten answer + NS set
+		{"a.b.c.d.ourtestdomain.nl", 2},     // four levels of climb cost nothing more
+		{"ns1.ourtestdomain.nl", 2},         // exact: answer copy + NS set
+		{"nope.www.ourtestdomain.nl", 2},    // still the wildcard, past an existing node
+		{"P1234-7.OurTestDomain.NL", 2 + 1}, // mixed case pays for one canonical copy
+	} {
+		qname := dnswire.MustParseName(c.qname)
+		if res := z.Lookup(qname, dnswire.TypeTXT); res.Kind == NXDomain {
+			t.Fatalf("%s: %v", c.qname, res.Kind)
+		}
+		if got := testing.AllocsPerRun(100, func() { z.Lookup(qname, dnswire.TypeTXT) }); got > c.want {
+			t.Errorf("Lookup(%s) allocates %v times, want at most %v", c.qname, got, c.want)
+		}
+	}
+}
