@@ -77,6 +77,7 @@ func runGoldenSuite(t *testing.T, shards int, update bool) {
 		{"fig4", cmdFig4}, {"table2", cmdTable2}, {"fig5", cmdFig5},
 		{"fig6", cmdFig6}, {"fig7root", cmdFig7Root}, {"fig7nl", cmdFig7NL},
 		{"middlebox", cmdMiddlebox}, {"ipv6", cmdIPv6}, {"hardening", cmdHardening},
+		{"outage", cmdOutage}, {"openres", cmdOpenResolver}, {"scenarios", cmdScenarios},
 	}
 	for _, c := range cmds {
 		got := captureStdout(t, func() error {
