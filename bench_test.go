@@ -83,8 +83,8 @@ func BenchmarkFigure2ProbeAll(b *testing.B) {
 	var pct2, pct4, median4 float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r2 := analysis.ProbeAll(dss["2B"])
-		r4 := analysis.ProbeAll(dss["4B"])
+		r2 := analysis.Aggregate(dss["2B"]).ProbeAll()
+		r4 := analysis.Aggregate(dss["4B"]).ProbeAll()
 		pct2, pct4, median4 = r2.PercentAll, r4.PercentAll, r4.Box.Median
 	}
 	b.ReportMetric(pct2, "%all-2B")
@@ -100,7 +100,7 @@ func BenchmarkFigure3ShareVsRTT(b *testing.B) {
 	var fraShare, fraRTT float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range analysis.ShareVsRTT(dss["2C"]) {
+		for _, s := range analysis.Aggregate(dss["2C"]).ShareVsRTT() {
 			if s.Site == "FRA" {
 				fraShare, fraRTT = s.Share, s.MedianRTT
 			}
@@ -117,8 +117,8 @@ func BenchmarkFigure4Preference(b *testing.B) {
 	var weak2C, strong2C, strong2B float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p2c := analysis.Preference(dss["2C"])
-		p2b := analysis.Preference(dss["2B"])
+		p2c := analysis.Aggregate(dss["2C"]).Preference()
+		p2b := analysis.Aggregate(dss["2B"]).Preference()
 		weak2C, strong2C, strong2B = p2c.WeakFrac, p2c.StrongFrac, p2b.StrongFrac
 	}
 	b.ReportMetric(100*weak2C, "%weak-2C")
@@ -133,7 +133,7 @@ func BenchmarkTable2ContinentShare(b *testing.B) {
 	var euFRA, euFRARtt, euSYDRtt float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t2 := analysis.Table2(dss["2C"])
+		t2 := analysis.Aggregate(dss["2C"]).Table2()
 		eu := t2[geo.Europe]
 		euFRA = eu["FRA"].SharePct
 		euFRARtt = eu["FRA"].MedianRTT
@@ -152,7 +152,7 @@ func BenchmarkFigure5RTTSensitivity(b *testing.B) {
 	var euSpread, asSpread float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points := analysis.RTTSensitivity(dss["2B"])
+		points := analysis.Aggregate(dss["2B"]).RTTSensitivity()
 		frac := map[geo.Continent]map[string]float64{}
 		for _, p := range points {
 			if frac[p.Continent] == nil {
@@ -184,8 +184,8 @@ func BenchmarkFigure6IntervalSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fast = analysis.SiteShareByContinent(dss[0], "FRA")[geo.Europe]
-			slow = analysis.SiteShareByContinent(dss[1], "FRA")[geo.Europe]
+			fast = analysis.Aggregate(dss[0]).SiteShareByContinent("FRA")[geo.Europe]
+			slow = analysis.Aggregate(dss[1]).SiteShareByContinent("FRA")[geo.Europe]
 		}
 		b.ReportMetric(fast, "EU-FRA@2min")
 		b.ReportMetric(slow, "EU-FRA@30min")
@@ -232,8 +232,8 @@ func BenchmarkMiddleboxComparison(b *testing.B) {
 	var clientWeak, authWeak float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clientWeak = analysis.Preference(dss["2A"]).WeakFrac
-		aw, _, _ := analysis.AuthSidePreference(dss["2A"], 5)
+		clientWeak = analysis.Aggregate(dss["2A"]).Preference().WeakFrac
+		aw, _, _ := analysis.Aggregate(dss["2A"]).AuthSidePreference(5)
 		authWeak = aw
 	}
 	b.ReportMetric(clientWeak, "client-weak")
@@ -258,7 +258,7 @@ func BenchmarkIPv6Subset(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		weak = analysis.Preference(ds).WeakFrac
+		weak = analysis.Aggregate(ds).Preference().WeakFrac
 	}
 	b.ReportMetric(weak, "v6-weak")
 }
@@ -270,7 +270,7 @@ func BenchmarkPreferenceHardening(b *testing.B) {
 	var h analysis.HardeningResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h = analysis.PreferenceHardening(dss["2C"])
+		h = analysis.Aggregate(dss["2C"]).PreferenceHardening()
 	}
 	b.ReportMetric(h.FirstHalf, "first-half")
 	b.ReportMetric(h.SecondHalf, "second-half")
@@ -320,7 +320,7 @@ func BenchmarkAblationResolverMixture(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return analysis.Preference(ds).StrongFrac
+			return analysis.Aggregate(ds).Preference().StrongFrac
 		}
 		mixedStrong = run(nil) // calibrated default
 		uniformStrong = run([]atlas.PolicyShare{{
@@ -356,7 +356,7 @@ func BenchmarkAblationInfraRetention(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return analysis.SiteShareByContinent(ds, "FRA")[geo.Europe]
+			return analysis.Aggregate(ds).SiteShareByContinent("FRA")[geo.Europe]
 		}
 		keep = run(resolver.DecayKeep)
 		hard = run(resolver.HardExpire)
@@ -387,7 +387,7 @@ func BenchmarkAblationPathVariance(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			shares := analysis.SiteShareByContinent(ds, "FRA")
+			shares := analysis.Aggregate(ds).SiteShareByContinent("FRA")
 			return abs(shares[geo.Asia] - 0.5)
 		}
 		scaledAS = run(nil)
@@ -417,13 +417,14 @@ func BenchmarkAblationOutage(b *testing.B) {
 		cfg.Population = pc
 		start, end := 20*time.Minute, 40*time.Minute
 		cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
-		ds, err := measure.Run(cfg)
-		if err != nil {
+		agg := analysis.NewFaultAggregator(analysis.WindowsFromSchedule(cfg.Faults), 0, 0)
+		cfg.Sink = agg
+		if _, err := measure.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		impact := analysis.OutageImpactOf(ds, "FRA", start, end)
-		duringFail = impact.During.FailRate
-		duringShare = impact.During.SiteShare
+		during := agg.Impacts()[0].During
+		duringFail = during.FailRate
+		duringShare = during.SiteShare["FRA"]
 	}
 	b.ReportMetric(100*duringFail, "%fail-during-outage")
 	b.ReportMetric(100*duringShare, "%failed-site-share")

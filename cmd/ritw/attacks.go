@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ritw/internal/analysis"
@@ -55,23 +54,11 @@ func cmdAttacks(ctx context.Context, scale core.Scale) error {
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]core.Scenario, len(scenarios))
-	for _, sc := range scenarios {
-		byName[sc.Name] = sc
-	}
-
-	opts := batchOpts(scale)
-	var mu sync.Mutex
 	aggs := make(map[string]*analysis.FaultAggregator, len(scenarios))
-	if streaming() {
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			agg := analysis.NewFaultAggregator(attackWindows(byName[key]), sketchCap(), *seed)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			return agg
-		}), core.WithStreamOnly(true))
+	for _, sc := range scenarios {
+		aggs[sc.Name] = analysis.NewFaultAggregator(attackWindows(sc), sketchCap(), *seed)
 	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink { return aggs[key] }))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
@@ -90,13 +77,7 @@ func cmdAttacks(ctx context.Context, scale core.Scale) error {
 		for _, line := range analysis.FormatAttackReport(ds.Attacks) {
 			fmt.Println(line)
 		}
-		var impacts []analysis.FaultImpact
-		if agg := aggs[sc.Name]; agg != nil {
-			impacts = agg.Impacts()
-		} else {
-			impacts = analysis.FaultImpacts(ds, attackWindows(sc))
-		}
-		for _, fi := range impacts {
+		for _, fi := range aggs[sc.Name].Impacts() {
 			for _, line := range analysis.FormatImpact(fi, ds.Sites) {
 				fmt.Println(line)
 			}

@@ -13,7 +13,7 @@ import (
 )
 
 // TestGoldenAttacks pins the exact text of the preset defense-matrix
-// battery at a fixed seed in stream mode against a checked-in golden:
+// battery at a fixed seed against a checked-in golden:
 // the campaign schedules, the attack ledgers (bots, packets,
 // amplification factors), and the benign collateral impact tables.
 // Any drift in attack traffic generation, the MaxFetch budget, or the
@@ -44,13 +44,13 @@ func TestGoldenAttacksSharded(t *testing.T) {
 // sequential lane that defines the golden bytes.
 func runAttackGolden(t *testing.T, shards int, update bool) {
 	t.Helper()
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
+	oldSeed, oldProbes, oldMaxMem := *seed, *probesFlag, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
 	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
+		*seed, *probesFlag, *maxMem = oldSeed, oldProbes, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
 	}()
-	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
+	*seed, *probesFlag, *maxMem = 7, 150, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
 
 	got := captureStdout(t, func() error {

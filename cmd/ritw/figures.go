@@ -31,7 +31,7 @@ func writePlot(name, svg string) error {
 func plotFig2(srcs map[string]*source) error {
 	var groups []plot.BoxGroup
 	for _, combo := range measure.Table1() {
-		res := srcs[combo.ID].probeAll()
+		res := srcs[combo.ID].agg.ProbeAll()
 		groups = append(groups, plot.BoxGroup{
 			Label: fmt.Sprintf("%s (%.1f%%)", res.ComboID, res.PercentAll),
 			Box:   res.Box,
@@ -46,7 +46,7 @@ func plotFig2(srcs map[string]*source) error {
 func plotFig3(srcs map[string]*source) error {
 	for _, combo := range measure.Table1() {
 		var bars []plot.ShareRTTBar
-		for _, s := range srcs[combo.ID].shareVsRTT() {
+		for _, s := range srcs[combo.ID].agg.ShareVsRTT() {
 			bars = append(bars, plot.ShareRTTBar{Label: s.Site, Share: s.Share, MedianRTT: s.MedianRTT})
 		}
 		svg := plot.ShareRTTChart("Query share and median RTT — "+combo.ID, bars)
@@ -61,9 +61,9 @@ func plotFig3(srcs map[string]*source) error {
 // two-site combinations, one chart per combination with the EU curves.
 func plotFig4(srcs map[string]*source) error {
 	for _, id := range []string{"2A", "2B", "2C"} {
-		p := srcs[id].preference()
+		p := srcs[id].agg.Preference()
 		var series []plot.Series
-		for _, site := range srcs[id].sites() {
+		for _, site := range srcs[id].sum.Sites {
 			fracs := p.Curves[geo.Europe][site]
 			xs := make([]float64, len(fracs))
 			for i := range fracs {
@@ -85,8 +85,8 @@ func plotFig4(srcs map[string]*source) error {
 // plotFig5 renders the RTT-sensitivity scatter of 2B.
 func plotFig5(srcs map[string]*source) error {
 	var points []plot.ScatterPoint
-	sites := srcs["2B"].sites()
-	for _, p := range srcs["2B"].rttSensitivity() {
+	sites := srcs["2B"].sum.Sites
+	for _, p := range srcs["2B"].agg.RTTSensitivity() {
 		color := 0
 		if p.Site == sites[1] {
 			color = 1
@@ -104,11 +104,11 @@ func plotFig5(srcs map[string]*source) error {
 func plotFig6(srcs []*source) error {
 	byCont := map[geo.Continent]plot.Series{}
 	for _, src := range srcs {
-		shares := src.siteShare("FRA")
+		shares := src.agg.SiteShareByContinent("FRA")
 		for _, cont := range geo.Continents() {
 			s := byCont[cont]
 			s.Name = cont.String()
-			s.X = append(s.X, src.interval().Minutes())
+			s.X = append(s.X, src.sum.Interval.Minutes())
 			s.Y = append(s.Y, shares[cont])
 			byCont[cont] = s
 		}
@@ -125,8 +125,7 @@ func plotFig6(srcs []*source) error {
 // plotFig7 renders the rank bands of a production trace from its
 // per-recursive per-server counts: the per-rank shares of up to 40
 // sampled busy recursives, one stacked column each, sorted by
-// top-share. Both the materialized trace and the streaming rank
-// aggregator expose this pivot.
+// top-share.
 func plotFig7(name, title string, per map[string]map[string]int, minQueries int) error {
 	type recBands struct {
 		top    float64

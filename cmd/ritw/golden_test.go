@@ -14,7 +14,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite the golden outputs under testdata/golden")
 
 // TestGoldenOutputs pins the exact text of every figure and table
-// command at a fixed seed in stream mode against checked-in goldens.
+// command at a fixed seed against checked-in goldens.
 // Any numeric drift — an RNG stream reordered, a default changed, an
 // aggregator losing exactness — shows up as a readable text diff in CI
 // rather than as silently different science. Regenerate deliberately
@@ -58,14 +58,14 @@ func TestGoldenOutputsSharded(t *testing.T) {
 // runs the single sequential lane that defines the golden bytes.
 func runGoldenSuite(t *testing.T, shards int, update bool) {
 	t.Helper()
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
+	oldSeed, oldProbes, oldMaxMem := *seed, *probesFlag, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
 	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
+		*seed, *probesFlag, *maxMem = oldSeed, oldProbes, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
 		table1Cache = nil
 	}()
-	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
+	*seed, *probesFlag, *maxMem = 7, 150, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
 	table1Cache = nil
 

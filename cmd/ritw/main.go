@@ -15,11 +15,11 @@
 //	ritw all                      # everything above
 //	ritw blast -qps 50000         # open-loop UDP load harness (ritw blast -h)
 //
-// With -stream, runs push records into incremental aggregators instead
-// of materializing datasets: the figures are identical, but peak memory
-// is bounded by per-VP analysis state rather than query volume. -maxmem
-// additionally caps the streaming quantile sketches (implies -stream;
-// medians become approximate past the cap).
+// Every run streams its records into incremental aggregators, so peak
+// memory is bounded by per-VP analysis state rather than query volume;
+// -out spills one combination's records to CSV as they complete.
+// -maxmem additionally caps the aggregators' RTT quantile sketches
+// (medians become approximate past the cap).
 package main
 
 import (
@@ -32,15 +32,12 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
-	"ritw/internal/atlas"
-
 	"ritw/internal/analysis"
+	"ritw/internal/atlas"
 	"ritw/internal/core"
-	"ritw/internal/ditl"
 	"ritw/internal/faults"
 	"ritw/internal/geo"
 	"ritw/internal/measure"
@@ -51,12 +48,11 @@ var (
 	seed       = flag.Int64("seed", 42, "experiment seed")
 	scaleStr   = flag.String("scale", "small", "population scale: small, medium, full")
 	comboID    = flag.String("combo", "2C", "combination for fig3")
-	outFile    = flag.String("out", "", "also write the dataset CSV here (single-combo commands)")
+	outFile    = flag.String("out", "", "also spill the -combo combination's records to this CSV (table/figure commands over the Table-1 batch)")
 	plotDir    = flag.String("plotdir", "", "write SVG figures into this directory")
 	parallel   = flag.Int("parallel", 0, "worker-pool width for batch runs (0 = all cores)")
 	progress   = flag.Bool("progress", false, "report live batch completion on stderr")
-	stream     = flag.Bool("stream", false, "stream records into incremental aggregators instead of materializing datasets")
-	maxMem     = flag.Int("maxmem", 0, "cap streaming analysis memory: MiB budget for the RTT quantile sketches (implies -stream; 0 = exact)")
+	maxMem     = flag.Int("maxmem", 0, "cap analysis memory: MiB budget for the aggregators' RTT quantile sketches (0 = exact medians)")
 	probesFlag = flag.Int("probes", 0, "override the probe count implied by -scale (0 = scale default)")
 	shardsFlag = flag.Int("shards", 0, "split each simulation across N concurrent lanes; results are byte-identical at any shard count (0 = single lane)")
 	metricsOut = flag.Bool("metrics", false, "dump the observability registry to stderr when the command finishes")
@@ -70,10 +66,6 @@ var (
 // events, records streamed, sink spill bytes, aggregator peak sizes)
 // when -metrics is set; nil otherwise — obs instruments are nil-safe.
 var metricsReg *obs.Registry
-
-// streaming reports whether the record path should bypass dataset
-// materialization; any memory cap implies it.
-func streaming() bool { return *stream || *maxMem > 0 }
 
 // sketchCap translates -maxmem into a per-sketch sample cap. An
 // aggregator keeps one RTT sketch per site plus one per
@@ -153,6 +145,40 @@ func reportProgress(p core.BatchProgress) {
 	fmt.Fprintf(os.Stderr, "[%s %d/%d] %s %s\n", p.Batch, p.Done, p.Total, p.Job, status)
 }
 
+// commands is the subcommand table, in the order `ritw all` runs it.
+var commands = []struct {
+	name string
+	run  func(context.Context, core.Scale) error
+}{
+	{"table1", cmdTable1},
+	{"fig2", cmdFig2},
+	{"fig3", cmdFig3},
+	{"fig4", cmdFig4},
+	{"table2", cmdTable2},
+	{"fig5", cmdFig5},
+	{"fig6", cmdFig6},
+	{"fig7root", cmdFig7Root},
+	{"fig7nl", cmdFig7NL},
+	{"middlebox", cmdMiddlebox},
+	{"ipv6", cmdIPv6},
+	{"hardening", cmdHardening},
+	{"planner", cmdPlanner},
+	{"outage", cmdOutage},
+	{"openres", cmdOpenResolver},
+	{"scenarios", cmdScenarios},
+	{"attacks", cmdAttacks},
+	{"mix", cmdMix},
+}
+
+// usage is the one-line synopsis, generated from the command table.
+func usage() string {
+	names := make([]string, 0, len(commands)+1)
+	for _, c := range commands {
+		names = append(names, c.name)
+	}
+	return "usage: ritw [flags] <" + strings.Join(append(names, "all"), "|") + ">"
+}
+
 func main() {
 	// blast owns its own flag set (load-harness knobs share nothing
 	// with the figure pipeline), so it dispatches before flag.Parse.
@@ -162,7 +188,7 @@ func main() {
 	}
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: ritw [flags] <table1|fig2|fig3|fig4|table2|fig5|fig6|fig7root|fig7nl|middlebox|ipv6|hardening|planner|outage|openres|scenarios|attacks|mix|all>")
+		fmt.Fprintln(os.Stderr, usage())
 		fmt.Fprintln(os.Stderr, "       ritw blast [flags]   (open-loop load harness; see ritw blast -h)")
 		flag.PrintDefaults()
 		os.Exit(2)
@@ -183,45 +209,25 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	cmds := map[string]func(context.Context, core.Scale) error{
-		"table1":    cmdTable1,
-		"fig2":      cmdFig2,
-		"fig3":      cmdFig3,
-		"fig4":      cmdFig4,
-		"table2":    cmdTable2,
-		"fig5":      cmdFig5,
-		"fig6":      cmdFig6,
-		"fig7root":  cmdFig7Root,
-		"fig7nl":    cmdFig7NL,
-		"middlebox": cmdMiddlebox,
-		"ipv6":      cmdIPv6,
-		"hardening": cmdHardening,
-		"planner":   cmdPlanner,
-		"outage":    cmdOutage,
-		"openres":   cmdOpenResolver,
-		"scenarios": cmdScenarios,
-		"attacks":   cmdAttacks,
-		"mix":       cmdMix,
-	}
 	name := flag.Arg(0)
-	if name == "all" {
-		order := []string{"table1", "fig2", "fig3", "fig4", "table2", "fig5", "fig6",
-			"fig7root", "fig7nl", "middlebox", "ipv6", "hardening", "planner",
-			"outage", "openres", "scenarios", "attacks", "mix"}
-		for _, n := range order {
-			fmt.Printf("==== %s ====\n", n)
-			check(cmds[n](ctx, scale))
+	ran := false
+	for _, c := range commands {
+		switch name {
+		case "all":
+			fmt.Printf("==== %s ====\n", c.name)
+			check(c.run(ctx, scale))
 			fmt.Println()
+		case c.name:
+			check(c.run(ctx, scale))
+		default:
+			continue
 		}
-		dumpMetrics()
-		return
+		ran = true
 	}
-	cmd, ok := cmds[name]
-	if !ok {
+	if !ran {
 		fmt.Fprintf(os.Stderr, "ritw: unknown command %q\n", name)
 		os.Exit(2)
 	}
-	check(cmd(ctx, scale))
 	dumpMetrics()
 }
 
@@ -250,94 +256,16 @@ func check(err error) {
 	}
 }
 
-// source serves one run's analyses from either the materialized
-// dataset (default) or the streaming aggregator that consumed the run
-// (-stream). Both paths produce identical figures; only the memory
-// profile differs.
+// source is one finished run as the figure commands read it: the
+// aggregator its records streamed into, and the run summary
+// (ActiveProbes, Sites, Interval) it returned.
 type source struct {
-	ds  *measure.Dataset     // materialized records; nil in stream mode
-	agg *analysis.Aggregator // streaming aggregator; nil otherwise
-	sum *measure.Dataset     // run summary (ActiveProbes, Sites, Interval)
+	agg *analysis.Aggregator
+	sum *measure.Dataset
 }
 
-func materializedSource(ds *measure.Dataset) *source { return &source{ds: ds, sum: ds} }
-
-func (s *source) activeProbes() int       { return s.sum.ActiveProbes }
-func (s *source) sites() []string         { return s.sum.Sites }
-func (s *source) interval() time.Duration { return s.sum.Interval }
-
-func (s *source) numRecords() int {
-	if s.agg != nil {
-		return s.agg.NumRecords()
-	}
-	return len(s.ds.Records)
-}
-
-func (s *source) probeAll() analysis.ProbeAllResult {
-	if s.agg != nil {
-		return s.agg.ProbeAll()
-	}
-	return analysis.ProbeAll(s.ds)
-}
-
-func (s *source) shareVsRTT() []analysis.SiteShare {
-	if s.agg != nil {
-		return s.agg.ShareVsRTT()
-	}
-	return analysis.ShareVsRTT(s.ds)
-}
-
-func (s *source) table2() map[geo.Continent]map[string]analysis.ContinentSiteShare {
-	if s.agg != nil {
-		return s.agg.Table2()
-	}
-	return analysis.Table2(s.ds)
-}
-
-func (s *source) preference() analysis.PreferenceResult {
-	if s.agg != nil {
-		return s.agg.Preference()
-	}
-	return analysis.Preference(s.ds)
-}
-
-func (s *source) preferenceCI(rounds int, seed int64) (weak, strong analysis.Interval, err error) {
-	if s.agg != nil {
-		return s.agg.PreferenceCI(rounds, seed)
-	}
-	return analysis.PreferenceCI(s.ds, rounds, seed)
-}
-
-func (s *source) rttSensitivity() []analysis.RTTSensitivityPoint {
-	if s.agg != nil {
-		return s.agg.RTTSensitivity()
-	}
-	return analysis.RTTSensitivity(s.ds)
-}
-
-func (s *source) siteShare(site string) map[geo.Continent]float64 {
-	if s.agg != nil {
-		return s.agg.SiteShareByContinent(site)
-	}
-	return analysis.SiteShareByContinent(s.ds, site)
-}
-
-func (s *source) hardening() analysis.HardeningResult {
-	if s.agg != nil {
-		return s.agg.PreferenceHardening()
-	}
-	return analysis.PreferenceHardening(s.ds)
-}
-
-func (s *source) authSide(minQueries int) (weakFrac, strongFrac float64, resolvers int) {
-	if s.agg != nil {
-		return s.agg.AuthSidePreference(minQueries)
-	}
-	return analysis.AuthSidePreference(s.ds, minQueries)
-}
-
-// aggFor builds one streaming aggregator under the CLI's seed, memory
-// cap and metrics registry. label feeds the peak-size gauge.
+// aggFor builds one aggregator under the CLI's seed, memory cap and
+// metrics registry. label feeds the peak-size gauge.
 func aggFor(label string, sites []string, duration time.Duration) *analysis.Aggregator {
 	return analysis.NewAggregator(analysis.AggConfig{
 		ComboID:    label,
@@ -349,66 +277,42 @@ func aggFor(label string, sites []string, duration time.Duration) *analysis.Aggr
 	})
 }
 
-// runAll executes all seven combinations once — fanned out across
+// allSources executes all seven combinations once — fanned out across
 // cores by the Runner — and caches the result across subcommands of
-// `ritw all`. In stream mode each combination's records flow straight
-// into its aggregator and are never materialized.
+// `ritw all`. Each combination's records flow straight into its
+// aggregator; with -out the -combo combination's also spill to CSV.
 var table1Cache map[string]*source
 
 func allSources(ctx context.Context, scale core.Scale) (map[string]*source, error) {
 	if table1Cache != nil {
 		return table1Cache, nil
 	}
-	opts := batchOpts(scale)
-	srcs := make(map[string]*source)
-	if streaming() {
-		var (
-			mu        sync.Mutex
-			aggs      = make(map[string]*analysis.Aggregator)
-			spill     *os.File
-			spillCSV  *measure.CSVSink
-			spillBase int64
-			spillSkip int64
-		)
-		if *outFile != "" {
-			f, base, skip, err := openSpill(*outFile, *comboID)
-			if err != nil {
-				return nil, err
-			}
-			spill, spillBase, spillSkip = f, base, skip
+	aggs := make(map[string]*analysis.Aggregator)
+	sinks := make(map[string]measure.Sink)
+	for _, combo := range measure.Table1() {
+		agg := aggFor(combo.ID, combo.Sites, measure.DefaultRunConfig(combo, 0).Duration)
+		aggs[combo.ID], sinks[combo.ID] = agg, agg
+	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink { return sinks[key] }))
+
+	var spill *os.File
+	if *outFile != "" {
+		f, base, skip, err := openSpill(*outFile, *comboID)
+		if err != nil {
+			return nil, err
 		}
-		sinkFor := func(key string) measure.Sink {
-			combo, err := measure.CombinationByID(key)
-			if err != nil {
-				return measure.Discard
-			}
-			agg := aggFor(key, combo.Sites, measure.DefaultRunConfig(combo, 0).Duration)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			if spill != nil && key == *comboID {
-				// -out spills the requested combination's records to CSV
-				// during the run instead of from a materialized dataset.
-				// A resumed run replays the whole simulation (figures need
-				// the aggregator to see every record) but skips the prefix
-				// the previous run already wrote to the CSV.
-				csv := measure.NewCSVSink(spill, key)
-				if spillBase > 0 {
-					csv.SkipHeader()
-				}
-				mu.Lock()
-				spillCSV = csv
-				mu.Unlock()
-				var rec measure.Sink = csv
-				if spillSkip > 0 {
-					rec = measure.SkipRecords(csv, spillSkip)
-				}
-				return measure.Tee(agg, rec)
-			}
-			return agg
+		spill = f
+		// A resumed run replays the whole simulation (figures need the
+		// aggregator to see every record) but skips the prefix the
+		// previous run already wrote to the CSV.
+		csv := measure.NewCSVSink(f, *comboID)
+		if base > 0 {
+			csv.SkipHeader()
 		}
-		opts = append(opts, core.WithSink(sinkFor), core.WithStreamOnly(true))
-		if *snapEvery > 0 && spill != nil {
+		if agg, ok := aggs[*comboID]; ok {
+			sinks[*comboID] = measure.Tee(agg, measure.SkipRecords(csv, skip))
+		}
+		if *snapEvery > 0 {
 			// Override batchOpts' generic snapshot factory with one whose
 			// spec for the spilled combination records the CSV's durable
 			// offset at every checkpoint, so -resume can truncate a
@@ -417,47 +321,36 @@ func allSources(ctx context.Context, scale core.Scale) (map[string]*source, erro
 				spec := &measure.SnapshotSpec{Path: snapPath(key), Every: *snapEvery, Resume: *resumeFlag}
 				if key == *comboID {
 					spec.Sync = func() (int64, error) {
-						mu.Lock()
-						csv := spillCSV
-						mu.Unlock()
-						if csv == nil {
-							return -1, nil
-						}
 						if err := csv.Flush(); err != nil {
 							return -1, err
 						}
-						return spillBase + csv.Bytes(), nil
+						return base + csv.Bytes(), nil
 					}
 				}
 				return spec
 			}))
 		}
-		dss, err := core.RunTable1Context(ctx, opts...)
-		if spill != nil {
-			if cerr := spill.Close(); err == nil {
-				err = cerr
-			}
+	}
+	dss, err := core.RunTable1Context(ctx, opts...)
+	if spill != nil {
+		// Close carries the final flush: dropping its error would report
+		// a truncated CSV as success.
+		if cerr := spill.Close(); err == nil {
+			err = cerr
 		}
-		if err != nil {
-			return nil, err
-		}
-		for id, ds := range dss {
-			srcs[id] = &source{agg: aggs[id], sum: ds}
-		}
-	} else {
-		dss, err := core.RunTable1Context(ctx, opts...)
-		if err != nil {
-			return nil, err
-		}
-		for id, ds := range dss {
-			srcs[id] = materializedSource(ds)
-		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	srcs := make(map[string]*source, len(dss))
+	for id, ds := range dss {
+		srcs[id] = &source{agg: aggs[id], sum: ds}
 	}
 	table1Cache = srcs
 	return srcs, nil
 }
 
-// openSpill opens the -out CSV for the streaming spill. Under -resume
+// openSpill opens the -out CSV for the spill. Under -resume
 // it reopens the existing file and truncates it to the offset the last
 // checkpoint durably covered (a crash can leave a written-but-
 // uncheckpointed tail), so the resumed run appends exactly the records
@@ -490,25 +383,6 @@ func openSpill(path, key string) (f *os.File, base, skip int64, err error) {
 	return f, base, skip, nil
 }
 
-// maybeWriteOut honours -out for materialized runs; in stream mode the
-// CSV was already spilled during the run (see allSources).
-func maybeWriteOut(src *source) error {
-	if *outFile == "" || src.ds == nil {
-		return nil
-	}
-	f, err := os.Create(*outFile)
-	if err != nil {
-		return err
-	}
-	err = src.ds.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		// Close carries the final flush: a deferred Close would drop an
-		// ENOSPC here and report a truncated CSV as success.
-		err = cerr
-	}
-	return err
-}
-
 func cmdTable1(ctx context.Context, scale core.Scale) error {
 	srcs, err := allSources(ctx, scale)
 	if err != nil {
@@ -519,7 +393,7 @@ func cmdTable1(ctx context.Context, scale core.Scale) error {
 	for _, combo := range measure.Table1() {
 		src := srcs[combo.ID]
 		fmt.Printf("%-4s %-25s %8d %9d\n", combo.ID, strings.Join(combo.Sites, ", "),
-			src.activeProbes(), src.numRecords())
+			src.sum.ActiveProbes, src.agg.NumRecords())
 	}
 	return nil
 }
@@ -532,7 +406,7 @@ func cmdFig2(ctx context.Context, scale core.Scale) error {
 	fmt.Println("Figure 2: queries to probe all authoritatives, after the first query")
 	fmt.Printf("%-10s %9s %6s %6s %6s %6s %6s\n", "combo(%all)", "VPs", "p10", "q1", "med", "q3", "p90")
 	for _, combo := range measure.Table1() {
-		res := srcs[combo.ID].probeAll()
+		res := srcs[combo.ID].agg.ProbeAll()
 		fmt.Printf("%-3s(%4.1f%%) %9d %6.1f %6.1f %6.1f %6.1f %6.1f\n",
 			res.ComboID, res.PercentAll, res.VPs,
 			res.Box.P10, res.Box.Q1, res.Box.Median, res.Box.Q3, res.Box.P90)
@@ -547,20 +421,14 @@ func cmdFig3(ctx context.Context, scale core.Scale) error {
 	}
 	fmt.Println("Figure 3: median RTT (top) and query share (bottom) per authoritative")
 	for _, combo := range measure.Table1() {
-		shares := srcs[combo.ID].shareVsRTT()
+		shares := srcs[combo.ID].agg.ShareVsRTT()
 		fmt.Printf("%s:", combo.ID)
 		for _, s := range shares {
 			fmt.Printf("  %s rtt=%.0fms share=%.2f", s.Site, s.MedianRTT, s.Share)
 		}
 		fmt.Println()
 	}
-	if err := plotFig3(srcs); err != nil {
-		return err
-	}
-	if src, ok := srcs[*comboID]; ok {
-		return maybeWriteOut(src)
-	}
-	return nil
+	return plotFig3(srcs)
 }
 
 func cmdFig4(ctx context.Context, scale core.Scale) error {
@@ -571,8 +439,8 @@ func cmdFig4(ctx context.Context, scale core.Scale) error {
 	fmt.Println("Figure 4: per-recursive preference (VPs with >=50ms RTT gap)")
 	fmt.Printf("%-5s %10s %20s %20s\n", "combo", "qualified", "weak [95%CI]", "strong [95%CI]")
 	for _, id := range []string{"2A", "2B", "2C"} {
-		p := srcs[id].preference()
-		weak, strong, err := srcs[id].preferenceCI(300, *seed)
+		p := srcs[id].agg.Preference()
+		weak, strong, err := srcs[id].agg.PreferenceCI(300, *seed)
 		if err != nil {
 			return err
 		}
@@ -593,8 +461,8 @@ func cmdTable2(ctx context.Context, scale core.Scale) error {
 	fmt.Println("Table 2: query share (%) and median RTT (ms) per continent")
 	for _, id := range []string{"2A", "2B", "2C"} {
 		src := srcs[id]
-		t2 := src.table2()
-		sites := src.sites()
+		t2 := src.agg.Table2()
+		sites := src.sum.Sites
 		fmt.Printf("config %s (%s/%s):\n", id, sites[0], sites[1])
 		fmt.Printf("  %-4s", "cont")
 		for _, site := range sites {
@@ -623,7 +491,7 @@ func cmdFig5(ctx context.Context, scale core.Scale) error {
 		return err
 	}
 	fmt.Println("Figure 5: RTT sensitivity of 2B (fraction of queries vs median RTT)")
-	for _, p := range srcs["2B"].rttSensitivity() {
+	for _, p := range srcs["2B"].agg.RTTSensitivity() {
 		fmt.Printf("  %s -> %s: rtt=%.0fms fraction=%.2f (VPs=%d)\n",
 			p.Continent, p.Site, p.MedianRTT, p.Fraction, p.VPs)
 	}
@@ -633,38 +501,23 @@ func cmdFig5(ctx context.Context, scale core.Scale) error {
 func cmdFig6(ctx context.Context, scale core.Scale) error {
 	fmt.Println("Figure 6: fraction of queries to FRA (config 2C) vs probing interval")
 	intervals := core.Figure6Intervals()
-	opts := batchOpts(scale)
-	var (
-		mu   sync.Mutex
-		aggs map[string]*analysis.Aggregator
-	)
-	if streaming() {
-		aggs = make(map[string]*analysis.Aggregator)
-		combo, err := measure.CombinationByID("2C")
-		if err != nil {
-			return err
-		}
-		duration := measure.DefaultRunConfig(combo, 0).Duration
-		sinkFor := func(key string) measure.Sink {
-			agg := aggFor("2C@"+key, combo.Sites, duration)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			return agg
-		}
-		opts = append(opts, core.WithSink(sinkFor), core.WithStreamOnly(true))
+	combo, err := measure.CombinationByID("2C")
+	if err != nil {
+		return err
 	}
+	duration := measure.DefaultRunConfig(combo, 0).Duration
+	aggs := make(map[string]*analysis.Aggregator, len(intervals))
+	for _, ivl := range intervals {
+		aggs[ivl.String()] = aggFor("2C@"+ivl.String(), combo.Sites, duration)
+	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink { return aggs[key] }))
 	dss, err := core.RunIntervalSweepContext(ctx, intervals, opts...)
 	if err != nil {
 		return err
 	}
 	srcs := make([]*source, len(dss))
 	for i, ds := range dss {
-		if streaming() {
-			srcs[i] = &source{agg: aggs[intervals[i].String()], sum: ds}
-		} else {
-			srcs[i] = materializedSource(ds)
-		}
+		srcs[i] = &source{agg: aggs[intervals[i].String()], sum: ds}
 	}
 	fmt.Printf("%-9s", "interval")
 	for _, cont := range geo.Continents() {
@@ -672,8 +525,8 @@ func cmdFig6(ctx context.Context, scale core.Scale) error {
 	}
 	fmt.Println()
 	for _, src := range srcs {
-		shares := src.siteShare("FRA")
-		fmt.Printf("%-9s", src.interval())
+		shares := src.agg.SiteShareByContinent("FRA")
+		fmt.Printf("%-9s", src.sum.Interval)
 		for _, cont := range geo.Continents() {
 			fmt.Printf(" %6.2f", shares[cont])
 		}
@@ -683,23 +536,9 @@ func cmdFig6(ctx context.Context, scale core.Scale) error {
 }
 
 func cmdFig7Root(ctx context.Context, scale core.Scale) error {
-	var (
-		trace *ditl.Trace
-		rb    analysis.RankBands
-		per   map[string]map[string]int
-	)
-	if streaming() {
-		st, err := core.RunRootTraceStream(*seed, scale)
-		if err != nil {
-			return err
-		}
-		trace, rb, per = st.Trace, st.Bands, st.Agg.PerRecursive()
-	} else {
-		t, b, err := core.RunRootTrace(*seed, scale)
-		if err != nil {
-			return err
-		}
-		trace, rb, per = t, b, t.PerRecursive()
+	trace, rb, err := core.RunRootTrace(*seed, scale)
+	if err != nil {
+		return err
 	}
 	fmt.Println("Figure 7 (top): root letters, recursives with >=250 queries/hour")
 	fmt.Printf("  captured: %d queries from %d recursives at %d letters\n",
@@ -709,34 +548,20 @@ func cmdFig7Root(ctx context.Context, scale core.Scale) error {
 	fmt.Printf("  query >=6 letters:     %.1f%% (paper ~60%%)\n", 100*rb.AtLeast6)
 	fmt.Printf("  query all 10 letters:  %.1f%% (paper ~2%%)\n", 100*rb.All)
 	fmt.Printf("  mean top-letter share: %.2f\n", rb.MeanTopShare)
-	return plotFig7("fig7_root.svg", "Root letters: per-recursive rank bands", per, 250)
+	return plotFig7("fig7_root.svg", "Root letters: per-recursive rank bands", trace.PerRecursive(), 250)
 }
 
 func cmdFig7NL(ctx context.Context, scale core.Scale) error {
-	var (
-		trace *ditl.Trace
-		rb    analysis.RankBands
-		per   map[string]map[string]int
-	)
-	if streaming() {
-		st, err := core.RunNLTraceStream(*seed, scale)
-		if err != nil {
-			return err
-		}
-		trace, rb, per = st.Trace, st.Bands, st.Agg.PerRecursive()
-	} else {
-		t, b, err := core.RunNLTrace(*seed, scale)
-		if err != nil {
-			return err
-		}
-		trace, rb, per = t, b, t.PerRecursive()
+	trace, rb, err := core.RunNLTrace(*seed, scale)
+	if err != nil {
+		return err
 	}
 	fmt.Println("Figure 7 (bottom): .nl, 4 of 8 authoritatives observed")
 	fmt.Printf("  captured: %d queries from %d recursives\n", trace.TotalQueries, trace.Recursives)
 	fmt.Printf("  busy recursives: %d\n", rb.Recursives)
 	fmt.Printf("  query one NS only: %.1f%%\n", 100*rb.OnlyOne)
 	fmt.Printf("  query all 4 NSes:  %.1f%% (paper: the majority)\n", 100*rb.All)
-	return plotFig7("fig7_nl.svg", ".nl: per-recursive rank bands", per, 125)
+	return plotFig7("fig7_nl.svg", ".nl: per-recursive rank bands", trace.PerRecursive(), 125)
 }
 
 func cmdMiddlebox(ctx context.Context, scale core.Scale) error {
@@ -745,8 +570,8 @@ func cmdMiddlebox(ctx context.Context, scale core.Scale) error {
 		return err
 	}
 	src := srcs["2A"]
-	p := src.preference()
-	aw, as, n := src.authSide(5)
+	p := src.agg.Preference()
+	aw, as, n := src.agg.AuthSidePreference(5)
 	fmt.Println("§3.1 middlebox check: client-side vs authoritative-side view (2A)")
 	fmt.Printf("  client side: weak=%.2f strong=%.2f (%d qualified VPs)\n",
 		p.WeakFrac, p.StrongFrac, p.QualifiedVPs)
@@ -765,23 +590,17 @@ func cmdIPv6(ctx context.Context, scale core.Scale) error {
 		cfg.IPv6Subset = v6
 		cfg.Metrics = metricsReg
 		cfg.Shards = *shardsFlag
-		if streaming() {
-			label := "2B-ipv6-all"
-			if v6 {
-				label = "2B-ipv6-subset"
-			}
-			agg := aggFor(label, combo.Sites, cfg.Duration)
-			sum, err := measure.RunStreamContext(ctx, cfg, agg)
-			if err != nil {
-				return analysis.PreferenceResult{}, 0, err
-			}
-			return agg.Preference(), sum.ActiveProbes, nil
+		label := "2B-ipv6-all"
+		if v6 {
+			label = "2B-ipv6-subset"
 		}
-		ds, err := measure.RunContext(ctx, cfg)
+		agg := aggFor(label, combo.Sites, cfg.Duration)
+		cfg.Sink = agg
+		sum, err := measure.RunContext(ctx, cfg)
 		if err != nil {
 			return analysis.PreferenceResult{}, 0, err
 		}
-		return analysis.Preference(ds), ds.ActiveProbes, nil
+		return agg.Preference(), sum.ActiveProbes, nil
 	}
 	full, nFull, err := run(false, 0)
 	if err != nil {
@@ -804,7 +623,7 @@ func cmdHardening(ctx context.Context, scale core.Scale) error {
 	}
 	fmt.Println("§4.3: weak preferences harden over the hour")
 	for _, id := range []string{"2A", "2B", "2C"} {
-		h := srcs[id].hardening()
+		h := srcs[id].agg.PreferenceHardening()
 		fmt.Printf("  %s: first half %.3f -> second half %.3f (%d weak VPs)\n",
 			id, h.FirstHalf, h.SecondHalf, h.VPs)
 	}
@@ -835,31 +654,30 @@ func cmdPlanner(context.Context, core.Scale) error {
 }
 
 // cmdOutage injects a 20-minute failure of FRA into 2B and reports the
-// failover behaviour (§7 "Other Considerations"). The windowed outage
-// analysis needs the record timeline, so it always materializes.
+// failover behaviour (§7 "Other Considerations").
 func cmdOutage(ctx context.Context, scale core.Scale) error {
 	combo, err := measure.CombinationByID("2B")
 	if err != nil {
 		return err
 	}
-	start, end := 20*time.Minute, 40*time.Minute
 	cfg := measure.DefaultRunConfig(combo, *seed)
-	pc := atlasConfig(scale)
-	cfg.Population = pc
-	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
+	cfg.Population = atlasConfig(scale)
+	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: 20 * time.Minute, End: 40 * time.Minute}}}
 	cfg.Shards = *shardsFlag
-	ds, err := measure.RunContext(ctx, cfg)
-	if err != nil {
+	cfg.Metrics = metricsReg
+	agg := analysis.NewFaultAggregator(analysis.WindowsFromSchedule(cfg.Faults), sketchCap(), *seed)
+	cfg.Sink = agg
+	if _, err := measure.RunContext(ctx, cfg); err != nil {
 		return err
 	}
-	impact := analysis.OutageImpactOf(ds, "FRA", start, end)
+	impact := agg.Impacts()[0]
 	fmt.Println("failure injection: FRA down 20-40min during a 2B run")
 	for _, row := range []struct {
 		name string
-		w    analysis.WindowStats
+		p    analysis.PhaseStats
 	}{{"before", impact.Before}, {"during", impact.During}, {"after", impact.After}} {
 		fmt.Printf("  %-7s queries=%6d FRA-share=%4.0f%% fail=%4.1f%% medianRTT=%4.0fms\n",
-			row.name, row.w.Queries, 100*row.w.SiteShare, 100*row.w.FailRate, row.w.MedianRTT)
+			row.name, row.p.Queries, 100*row.p.SiteShare["FRA"], 100*row.p.FailRate, row.p.MedianRTT)
 	}
 	return nil
 }
@@ -874,16 +692,19 @@ func cmdOpenResolver(ctx context.Context, scale core.Scale) error {
 	}
 	cfg := measure.DefaultOpenResolverConfig(combo, *seed)
 	cfg.NumResolvers = scaleProbes(scale) / 4
-	ds, err := measure.RunOpenResolversContext(ctx, cfg)
+	cfg.Metrics = metricsReg
+	agg := aggFor(combo.ID+"-open", combo.Sites, cfg.Duration)
+	cfg.Sink = agg
+	sum, err := measure.RunOpenResolversContext(ctx, cfg)
 	if err != nil {
 		return err
 	}
-	p := analysis.Preference(ds)
+	p := agg.Preference()
 	fmt.Printf("open-resolver scan of 2C: %d resolvers, %d records\n",
-		ds.ActiveProbes, len(ds.Records))
+		sum.ActiveProbes, agg.NumRecords())
 	fmt.Printf("  qualified=%d weak=%.1f%% strong=%.1f%%\n",
 		p.QualifiedVPs, 100*p.WeakFrac, 100*p.StrongFrac)
-	shares := analysis.SiteShareByContinent(ds, "FRA")
+	shares := agg.SiteShareByContinent("FRA")
 	fmt.Printf("  EU share to FRA: %.2f (probe-based measurement agrees)\n", shares[geo.Europe])
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"ritw/internal/core"
 	"ritw/internal/measure"
+	"ritw/internal/obs"
 )
 
 func TestParseScale(t *testing.T) {
@@ -31,27 +32,48 @@ func TestParseScale(t *testing.T) {
 	}
 }
 
+// TestCommandTableCoversAll reads the table main dispatches from: every
+// entry is runnable, no name is taken twice or collides with "all",
+// and the usage line offers every one of them.
 func TestCommandTableCoversAll(t *testing.T) {
-	// The "all" ordering must reference only registered commands, and
-	// every registered command should be reachable from "all" except
-	// none (keep them in sync when adding subcommands).
-	cmds := map[string]func(context.Context, core.Scale) error{
-		"table1": cmdTable1, "fig2": cmdFig2, "fig3": cmdFig3,
-		"fig4": cmdFig4, "table2": cmdTable2, "fig5": cmdFig5,
-		"fig6": cmdFig6, "fig7root": cmdFig7Root, "fig7nl": cmdFig7NL,
-		"middlebox": cmdMiddlebox, "ipv6": cmdIPv6, "hardening": cmdHardening,
-		"planner": cmdPlanner, "outage": cmdOutage, "openres": cmdOpenResolver,
-		"scenarios": cmdScenarios, "attacks": cmdAttacks,
+	if len(commands) == 0 {
+		t.Fatal("empty command table")
 	}
-	order := []string{"table1", "fig2", "fig3", "fig4", "table2", "fig5", "fig6",
-		"fig7root", "fig7nl", "middlebox", "ipv6", "hardening", "planner",
-		"outage", "openres", "scenarios", "attacks"}
-	if len(order) != len(cmds) {
-		t.Fatalf("all-order has %d entries, command table %d", len(order), len(cmds))
+	seen := map[string]bool{"all": true}
+	u := usage()
+	offered := strings.Split(strings.Trim(u[strings.Index(u, "<"):], "<>"), "|")
+	for i, c := range commands {
+		if c.run == nil {
+			t.Errorf("command %q has no function", c.name)
+		}
+		if seen[c.name] {
+			t.Errorf("command name %q is taken twice", c.name)
+		}
+		seen[c.name] = true
+		if i >= len(offered) || offered[i] != c.name {
+			t.Errorf("usage offers %v, want %q at position %d", offered, c.name, i)
+		}
 	}
-	for _, name := range order {
-		if cmds[name] == nil {
-			t.Errorf("ordering references unknown command %q", name)
+	if len(offered) != len(commands)+1 || offered[len(offered)-1] != "all" {
+		t.Errorf("usage offers %v, want the %d commands then all", offered, len(commands))
+	}
+}
+
+// TestSingleRunCommandsFeedMetrics: the commands that build their own
+// RunConfig instead of going through batchOpts hand the -metrics
+// registry to the run, so the dump shows the records they streamed.
+func TestSingleRunCommandsFeedMetrics(t *testing.T) {
+	oldSeed, oldProbes, oldReg := *seed, *probesFlag, metricsReg
+	defer func() { *seed, *probesFlag, metricsReg = oldSeed, oldProbes, oldReg }()
+	*seed, *probesFlag = 7, 40
+	for _, c := range []struct {
+		name string
+		run  func(context.Context, core.Scale) error
+	}{{"outage", cmdOutage}, {"openres", cmdOpenResolver}, {"ipv6", cmdIPv6}} {
+		metricsReg = obs.NewRegistry()
+		captureStdout(t, func() error { return c.run(context.Background(), core.ScaleSmall) })
+		if n := metricsReg.Snapshot().Counter("measure_records_streamed_total"); n <= 0 {
+			t.Errorf("%s: measure_records_streamed_total = %d after the run, want > 0", c.name, n)
 		}
 	}
 }
@@ -85,7 +107,7 @@ func TestValidateLayout(t *testing.T) {
 }
 
 // TestSpillSnapshotResume pins the CLI resume wiring end to end: a
-// streaming batch with -out and -snapshot-every leaves checkpoints; a
+// batch with -out and -snapshot-every leaves checkpoints; a
 // rerun with -resume loads them, truncates the spill CSV back to the
 // offset the last checkpoint durably covered (discarding the
 // uncheckpointed tail a crash can leave), replays, and ends with a
@@ -94,18 +116,18 @@ func TestSpillSnapshotResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the table-1 batch twice")
 	}
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
+	oldSeed, oldProbes, oldMaxMem := *seed, *probesFlag, *maxMem
 	oldPlot, oldOut, oldParallel, oldCombo := *plotDir, *outFile, *parallel, *comboID
 	oldEvery, oldDir, oldResume := *snapEvery, *snapDir, *resumeFlag
 	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
+		*seed, *probesFlag, *maxMem = oldSeed, oldProbes, oldMaxMem
 		*plotDir, *outFile, *parallel, *comboID = oldPlot, oldOut, oldParallel, oldCombo
 		*snapEvery, *snapDir, *resumeFlag = oldEvery, oldDir, oldResume
 		table1Cache = nil
 	}()
 	dir := t.TempDir()
 	out := filepath.Join(dir, "spill.csv")
-	*seed, *probesFlag, *stream, *maxMem = 7, 120, true, 0
+	*seed, *probesFlag, *maxMem = 7, 120, 0
 	*plotDir, *outFile, *parallel, *comboID = "", out, 4, "2A"
 	*snapEvery, *snapDir, *resumeFlag = 10*time.Minute, dir, false
 
@@ -170,52 +192,4 @@ func captureStdout(t *testing.T, fn func() error) string {
 		t.Fatalf("command failed: %v\noutput so far:\n%s", ferr, out)
 	}
 	return out
-}
-
-// TestStreamOutputMatchesMaterialized is the refactor's contract: at
-// the same seed, every figure and table command prints byte-identical
-// output whether records are materialized into datasets or streamed
-// into incremental aggregators (-stream, exact mode).
-func TestStreamOutputMatchesMaterialized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the figure suite twice")
-	}
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
-	oldPlot, oldOut, oldParallel := *plotDir, *outFile, *parallel
-	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
-		*plotDir, *outFile, *parallel = oldPlot, oldOut, oldParallel
-		table1Cache = nil
-	}()
-	*seed, *probesFlag, *maxMem = 7, 150, 0
-	*plotDir, *outFile, *parallel = "", "", 4
-
-	cmds := []struct {
-		name string
-		fn   func(context.Context, core.Scale) error
-	}{
-		{"table1", cmdTable1}, {"fig2", cmdFig2}, {"fig3", cmdFig3},
-		{"fig4", cmdFig4}, {"table2", cmdTable2}, {"fig5", cmdFig5},
-		{"fig6", cmdFig6}, {"fig7root", cmdFig7Root}, {"fig7nl", cmdFig7NL},
-		{"middlebox", cmdMiddlebox}, {"ipv6", cmdIPv6}, {"hardening", cmdHardening},
-	}
-	run := func(streamMode bool) map[string]string {
-		*stream = streamMode
-		table1Cache = nil
-		out := make(map[string]string, len(cmds))
-		for _, c := range cmds {
-			out[c.name] = captureStdout(t, func() error {
-				return c.fn(context.Background(), core.ScaleSmall)
-			})
-		}
-		return out
-	}
-	mat := run(false)
-	str := run(true)
-	for _, c := range cmds {
-		if mat[c.name] != str[c.name] {
-			t.Errorf("%s output differs between modes\nmaterialized:\n%s\nstreaming:\n%s",
-				c.name, mat[c.name], str[c.name])
-		}
-	}
 }

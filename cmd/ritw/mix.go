@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ritw/internal/analysis"
@@ -168,80 +167,34 @@ func cmdMix(ctx context.Context, scale core.Scale) error {
 	scenarios := mixScenarioList()
 	opts := batchOpts(scale)
 
-	// assignFor resolves each scenario's VPKey → policy classifier from
-	// the same plan stage the run executes, so the split is exact.
-	assignFor := func(sc core.Scenario) (map[string]string, error) {
-		cfg, err := core.ScenarioRunConfig(sc, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return measure.PolicyAssignment(cfg)
-	}
-
-	var mu sync.Mutex
+	// Each scenario's VPKey → policy classifier comes from the same plan
+	// stage the run executes, so the per-policy split is exact.
 	breakouts := make(map[string]*analysis.MixBreakout, len(scenarios))
-	if streaming() {
-		byName := make(map[string]core.Scenario, len(scenarios))
-		for _, sc := range scenarios {
-			byName[sc.Name] = sc
-		}
-		var sinkErr error
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			sc := byName[key]
-			assign, err := assignFor(sc)
-			if err != nil {
-				mu.Lock()
-				if sinkErr == nil {
-					sinkErr = err
-				}
-				mu.Unlock()
-				return measure.Discard
-			}
-			cfg, err := core.ScenarioRunConfig(sc, opts...)
-			if err != nil {
-				mu.Lock()
-				if sinkErr == nil {
-					sinkErr = err
-				}
-				mu.Unlock()
-				return measure.Discard
-			}
-			b := analysis.NewMixBreakout(analysis.AggConfig{
-				ComboID:    key,
-				Sites:      cfg.Combo.Sites,
-				Duration:   cfg.Duration,
-				MaxSamples: sketchCap(),
-				Seed:       *seed,
-				Metrics:    metricsReg,
-			}, assign)
-			mu.Lock()
-			breakouts[key] = b
-			mu.Unlock()
-			return b
-		}), core.WithStreamOnly(true))
-		dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
+	for _, sc := range scenarios {
+		cfg, err := core.ScenarioRunConfig(sc, opts...)
 		if err != nil {
 			return err
 		}
-		if sinkErr != nil {
-			return sinkErr
+		assign, err := measure.PolicyAssignment(cfg)
+		if err != nil {
+			return err
 		}
-		for i, sc := range scenarios {
-			printMixScenario(sc, dss[i], breakouts[sc.Name])
-		}
-		return nil
+		breakouts[sc.Name] = analysis.NewMixBreakout(analysis.AggConfig{
+			ComboID:    sc.Name,
+			Sites:      cfg.Combo.Sites,
+			Duration:   cfg.Duration,
+			MaxSamples: sketchCap(),
+			Seed:       *seed,
+			Metrics:    metricsReg,
+		}, assign)
 	}
-
+	opts = append(opts, core.WithSink(func(key string) measure.Sink { return breakouts[key] }))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
 	}
 	for i, sc := range scenarios {
-		assign, err := assignFor(sc)
-		if err != nil {
-			return err
-		}
-		printMixScenario(sc, dss[i], analysis.BreakoutByPolicy(dss[i], assign))
+		printMixScenario(sc, dss[i], breakouts[sc.Name])
 	}
 	return nil
 }

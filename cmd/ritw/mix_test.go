@@ -16,7 +16,7 @@ import (
 )
 
 // TestGoldenMix pins the exact text of the fleet-mix battery at a
-// fixed seed in stream mode against a checked-in golden: the
+// fixed seed against a checked-in golden: the
 // per-policy and mixture Figure-4 preference rows, the paper-band
 // verdicts, and the Table-2 breakouts for every preset (the calibrated
 // paper mixture, the modern secDNS-flavoured fleet, and the
@@ -48,15 +48,15 @@ func TestGoldenMixSharded(t *testing.T) {
 // sequential lane that defines the golden bytes.
 func runMixGolden(t *testing.T, shards int, update bool) {
 	t.Helper()
-	oldSeed, oldProbes, oldStream, oldMaxMem := *seed, *probesFlag, *stream, *maxMem
+	oldSeed, oldProbes, oldMaxMem := *seed, *probesFlag, *maxMem
 	oldPlot, oldOut, oldParallel, oldShards := *plotDir, *outFile, *parallel, *shardsFlag
 	oldMix := mixShares
 	defer func() {
-		*seed, *probesFlag, *stream, *maxMem = oldSeed, oldProbes, oldStream, oldMaxMem
+		*seed, *probesFlag, *maxMem = oldSeed, oldProbes, oldMaxMem
 		*plotDir, *outFile, *parallel, *shardsFlag = oldPlot, oldOut, oldParallel, oldShards
 		mixShares = oldMix
 	}()
-	*seed, *probesFlag, *stream, *maxMem = 7, 150, true, 0
+	*seed, *probesFlag, *maxMem = 7, 150, 0
 	*plotDir, *outFile, *parallel, *shardsFlag = "", "", 4, shards
 	mixShares = nil
 
@@ -105,11 +105,14 @@ func TestPaperMixCalibrationInsideBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dss, err := core.RunScenariosContext(context.Background(), []core.Scenario{sc}, opts...)
-	if err != nil {
+	b := analysis.NewMixBreakout(analysis.AggConfig{
+		ComboID: sc.Name, Sites: cfg.Combo.Sites, Duration: cfg.Duration,
+	}, assign)
+	opts = append(opts, core.WithSink(func(string) measure.Sink { return b }))
+	if _, err := core.RunScenariosContext(context.Background(), []core.Scenario{sc}, opts...); err != nil {
 		t.Fatal(err)
 	}
-	p := analysis.BreakoutByPolicy(dss[0], assign).Mixture().Preference()
+	p := b.Mixture().Preference()
 	if p.QualifiedVPs < 50 {
 		t.Fatalf("only %d qualified VPs; the reference scale should give a stable estimate", p.QualifiedVPs)
 	}

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ritw/internal/analysis"
@@ -43,30 +42,18 @@ func (f *faultFlag) Set(v string) error {
 // single custom scenario assembled from repeated -fault flags on the
 // -combo deployment. Every scenario runs at the same seed, so the
 // healthy traffic is identical across them and the differences are the
-// faults'. In stream mode the impact analysis consumes records
-// incrementally (exact unless -maxmem caps the sketches).
+// faults'. The impact analysis consumes records as they complete
+// (exact unless -maxmem caps the sketches).
 func cmdScenarios(ctx context.Context, scale core.Scale) error {
 	scenarios, err := scenarioList()
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]core.Scenario, len(scenarios))
-	for _, sc := range scenarios {
-		byName[sc.Name] = sc
-	}
-
-	opts := batchOpts(scale)
-	var mu sync.Mutex
 	aggs := make(map[string]*analysis.FaultAggregator, len(scenarios))
-	if streaming() {
-		opts = append(opts, core.WithSink(func(key string) measure.Sink {
-			agg := analysis.NewFaultAggregator(scenarioWindows(byName[key]), sketchCap(), *seed)
-			mu.Lock()
-			aggs[key] = agg
-			mu.Unlock()
-			return agg
-		}), core.WithStreamOnly(true))
+	for _, sc := range scenarios {
+		aggs[sc.Name] = analysis.NewFaultAggregator(scenarioWindows(sc), sketchCap(), *seed)
 	}
+	opts := append(batchOpts(scale), core.WithSink(func(key string) measure.Sink { return aggs[key] }))
 	dss, err := core.RunScenariosContext(ctx, scenarios, opts...)
 	if err != nil {
 		return err
@@ -84,13 +71,7 @@ func cmdScenarios(ctx context.Context, scale core.Scale) error {
 		if sc.Backoff != nil && sc.Backoff.Disabled {
 			fmt.Println("   resolver hold-down backoff disabled")
 		}
-		var impacts []analysis.FaultImpact
-		if agg := aggs[sc.Name]; agg != nil {
-			impacts = agg.Impacts()
-		} else {
-			impacts = analysis.FaultImpacts(ds, scenarioWindows(sc))
-		}
-		for _, fi := range impacts {
+		for _, fi := range aggs[sc.Name].Impacts() {
 			for _, line := range analysis.FormatImpact(fi, ds.Sites) {
 				fmt.Println(line)
 			}

@@ -31,16 +31,20 @@ func main() {
 	cfg.Population = pc
 	cfg.Faults = &faults.Schedule{Outages: []faults.Outage{{Site: "FRA", Start: start, End: end}}}
 
+	// The run streams its records into the impact aggregator; nothing
+	// is kept but the before/during/after tallies.
+	agg := analysis.NewFaultAggregator(analysis.WindowsFromSchedule(cfg.Faults), 0, 0)
+	cfg.Sink = agg
+
 	fmt.Printf("Running 2B (DUB + FRA) with FRA down from %v to %v...\n\n", start, end)
-	ds, err := measure.Run(cfg)
-	if err != nil {
+	if _, err := measure.Run(cfg); err != nil {
 		log.Fatal(err)
 	}
 
-	impact := analysis.OutageImpactOf(ds, "FRA", start, end)
+	impact := agg.Impacts()[0]
 	rows := []struct {
 		name string
-		w    analysis.WindowStats
+		w    analysis.PhaseStats
 	}{
 		{"before", impact.Before},
 		{"during", impact.During},
@@ -49,7 +53,7 @@ func main() {
 	fmt.Printf("%-8s %8s %10s %11s %12s\n", "window", "queries", "FRA share", "fail rate", "median RTT")
 	for _, r := range rows {
 		fmt.Printf("%-8s %8d %9.0f%% %10.1f%% %10.0fms\n",
-			r.name, r.w.Queries, 100*r.w.SiteShare, 100*r.w.FailRate, r.w.MedianRTT)
+			r.name, r.w.Queries, 100*r.w.SiteShare["FRA"], 100*r.w.FailRate, r.w.MedianRTT)
 	}
 
 	fmt.Println("\nDuring the outage every answered query comes from Dublin: the")

@@ -26,7 +26,11 @@ func main() {
 	}
 	fmt.Printf("  %s\n\n", ds.Summary())
 
-	probeAll := analysis.ProbeAll(ds)
+	// Replay the run's stored records through the aggregator that
+	// finalizes every per-combination figure.
+	agg := analysis.Aggregate(ds)
+
+	probeAll := agg.ProbeAll()
 	fmt.Printf("Do recursives query all authoritatives? (Figure 2)\n")
 	fmt.Printf("  %.1f%% of %d vantage points reached both sites;\n",
 		probeAll.PercentAll, probeAll.VPs)
@@ -34,18 +38,18 @@ func main() {
 		probeAll.Box.Median, probeAll.Box.P90)
 
 	fmt.Println("How are queries distributed? (Figure 3)")
-	for _, s := range analysis.ShareVsRTT(ds) {
+	for _, s := range agg.ShareVsRTT() {
 		fmt.Printf("  %s: median RTT %.0f ms -> %.0f%% of queries\n",
 			s.Site, s.MedianRTT, 100*s.Share)
 	}
 	fmt.Println()
 
-	pref := analysis.Preference(ds)
+	pref := agg.Preference()
 	fmt.Println("Per-recursive preference (Figure 4, VPs with a >=50 ms RTT gap):")
 	fmt.Printf("  weak (>=60%% to one site):   %.0f%%\n", 100*pref.WeakFrac)
 	fmt.Printf("  strong (>=90%% to one site): %.0f%%\n\n", 100*pref.StrongFrac)
 
-	t2 := analysis.Table2(ds)
+	t2 := agg.Table2()
 	fmt.Println("Per-continent split (Table 2):")
 	for _, cont := range geo.Continents() {
 		cells, ok := t2[cont]

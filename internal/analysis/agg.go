@@ -12,9 +12,8 @@ import (
 	"ritw/internal/stats"
 )
 
-// AggConfig parameterizes an Aggregator. The combo identity, site list
-// and duration are what the slice-based analyses read off a Dataset;
-// a streaming consumer knows them before the run starts.
+// AggConfig parameterizes an Aggregator: the combo identity, site list
+// and duration a consumer knows before the run starts.
 type AggConfig struct {
 	ComboID string
 	Sites   []string
@@ -23,10 +22,8 @@ type AggConfig struct {
 	Duration time.Duration
 	// MaxSamples caps each global RTT quantile sketch's retained
 	// samples (reservoir sampling past the cap). <= 0 keeps every
-	// sample, making all medians exact — the setting the wrapper
-	// functions use so figure output is byte-identical to the
-	// slice-based code. Per-VP RTT samples are never capped: a VP
-	// holds at most one sample per query it sent.
+	// sample, making all medians exact. Per-VP RTT samples are never
+	// capped: a VP holds at most one sample per query it sent.
 	MaxSamples int
 	// Seed drives reservoir replacement when MaxSamples binds.
 	Seed int64
@@ -67,14 +64,14 @@ type vpState struct {
 // bootstrap CI, Table 2, Figure 5 (RTT sensitivity), Figure 6's
 // per-continent site share, the §4.3 hardening comparison and the
 // §3.1 auth-side middlebox cross-check. It implements measure.Sink,
-// so it can be handed directly to measure.RunStream; its memory is
-// O(#VPs + #resolvers), not O(#records).
+// so a run streams straight into it (measure.RunConfig.Sink); its
+// memory is O(#VPs + #resolvers), not O(#records).
 //
 // Results are available from the accessor methods at any time; Close
-// only publishes the size gauge. Feeding records grouped per VP in
-// send order — which both a live run (see measure.Sink) and the
-// wrapper functions guarantee — reproduces the slice-based analyses
-// exactly when MaxSamples is unset.
+// only publishes the size gauge. Records of one VP must arrive in send
+// order — which a run guarantees (see measure.Sink) and Dataset.Replay
+// preserves — while VPs may interleave arbitrarily: with MaxSamples
+// unset every result is independent of that interleaving.
 type Aggregator struct {
 	cfg     AggConfig
 	siteIdx map[string]int
@@ -142,25 +139,18 @@ func NewAggregator(cfg AggConfig) *Aggregator {
 	return a
 }
 
-// AggregatorFor returns an aggregator configured exactly as the
-// slice-based analyses would read ds, with exact (uncapped) sketches.
+// AggregatorFor returns an exact (uncapped) aggregator configured from
+// ds's summary fields.
 func AggregatorFor(ds *measure.Dataset) *Aggregator {
 	return NewAggregator(AggConfig{ComboID: ds.ComboID, Sites: ds.Sites, Duration: ds.Duration})
 }
 
-// aggregate feeds a materialized dataset through a fresh exact
-// aggregator in the per-VP sorted order the slice-based analyses used,
-// guaranteeing byte-identical results for arbitrary datasets.
-func aggregate(ds *measure.Dataset) *Aggregator {
+// Aggregate replays a dataset's stored records through a fresh exact
+// aggregator: the entry point for tests, examples and offline
+// re-analysis of measure.ReadCSV / ReadJSONL artifacts.
+func Aggregate(ds *measure.Dataset) *Aggregator {
 	a := AggregatorFor(ds)
-	for _, vp := range VPs(ds) {
-		for _, r := range vp.Records {
-			a.OnQuery(r)
-		}
-	}
-	for _, ar := range ds.AuthRecords {
-		a.OnAuth(ar)
-	}
+	ds.Replay(a)
 	return a
 }
 
@@ -343,9 +333,8 @@ func (a *Aggregator) ComboID() string { return a.cfg.ComboID }
 // Sites returns the configured site list.
 func (a *Aggregator) Sites() []string { return a.cfg.Sites }
 
-// sortedVPKeys returns the VP keys in the deterministic order the
-// slice-based analyses iterate (sorted), so order-sensitive float
-// accumulations match them exactly.
+// sortedVPKeys returns the VP keys sorted, so order-sensitive float
+// accumulations are bit-stable across runs and map layouts.
 func (a *Aggregator) sortedVPKeys() []string {
 	keys := make([]string, 0, len(a.vps))
 	for k := range a.vps {
@@ -355,7 +344,8 @@ func (a *Aggregator) sortedVPKeys() []string {
 	return keys
 }
 
-// ProbeAll finalizes Figure 2 from the accumulated state.
+// ProbeAll finalizes Figure 2. VPs with fewer than five answered
+// queries are skipped, mirroring the paper's server-side filter.
 func (a *Aggregator) ProbeAll() ProbeAllResult {
 	var reached []float64
 	all, considered := 0, 0
@@ -380,7 +370,9 @@ func (a *Aggregator) ProbeAll() ProbeAllResult {
 	return res
 }
 
-// ShareVsRTT finalizes Figure 3 from the accumulated state.
+// ShareVsRTT finalizes Figure 3. Following §4.2, the tally starts once
+// a VP has reached the hot-cache condition (has queried every site at
+// least once).
 func (a *Aggregator) ShareVsRTT() []SiteShare {
 	out := make([]SiteShare, 0, len(a.cfg.Sites))
 	for _, s := range a.cfg.Sites {
@@ -400,7 +392,8 @@ func sketchMedian(q *stats.QuantileSketch) float64 {
 	return q.Median()
 }
 
-// Table2 finalizes the per-continent share/RTT table.
+// Table2 finalizes the per-continent query distribution and median RTT
+// for each site (the paper's Table 2 rows).
 func (a *Aggregator) Table2() map[geo.Continent]map[string]ContinentSiteShare {
 	out := make(map[geo.Continent]map[string]ContinentSiteShare)
 	for cont, byc := range a.contCounts {
@@ -479,15 +472,17 @@ func (a *Aggregator) preference() (PreferenceResult, []float64) {
 	return res, topShares
 }
 
-// Preference finalizes Figure 4.
+// Preference finalizes Figure 4 for a two-site run. VPs with fewer
+// than five answered queries are excluded, as in the paper's middlebox
+// cross-check.
 func (a *Aggregator) Preference() PreferenceResult {
 	res, _ := a.preference()
 	return res
 }
 
 // PreferenceCI bootstraps 95% confidence intervals for the weak and
-// strong preference fractions, resampling the qualified VPs' top-site
-// shares exactly as the slice-based PreferenceCI does.
+// strong preference fractions — uncertainty the paper's point estimates
+// do not carry — by resampling the qualified VPs' top-site shares.
 func (a *Aggregator) PreferenceCI(rounds int, seed int64) (weakCI, strongCI Interval, err error) {
 	if !a.twoSite {
 		return Interval{}, Interval{}, fmt.Errorf("analysis: preference CI needs a two-site dataset")
@@ -547,8 +542,9 @@ func (a *Aggregator) SiteShareByContinent(site string) map[geo.Continent]float64
 	return out
 }
 
-// PreferenceHardening finalizes the §4.3 first-half/second-half
-// comparison of weak-preference VPs.
+// PreferenceHardening finalizes the §4.3 comparison: each
+// weak-preference VP's queries are split at the measurement midpoint
+// and its top-site share compared across halves.
 func (a *Aggregator) PreferenceHardening() HardeningResult {
 	if !a.twoSite {
 		return HardeningResult{}
@@ -586,8 +582,9 @@ func (a *Aggregator) PreferenceHardening() HardeningResult {
 	return res
 }
 
-// AuthSidePreference finalizes the middlebox cross-check for sources
-// that sent at least minQueries.
+// AuthSidePreference recomputes the Figure-4 preference fractions from
+// the authoritative-side capture, for recursives that sent at least
+// minQueries — the paper's middlebox sanity check (§3.1).
 func (a *Aggregator) AuthSidePreference(minQueries int) (weakFrac, strongFrac float64, resolvers int) {
 	weak, strong := 0, 0
 	for _, counts := range a.perSrc {
@@ -618,8 +615,8 @@ func (a *Aggregator) AuthSidePreference(minQueries int) (weakFrac, strongFrac fl
 }
 
 // RankAgg accumulates per-recursive per-server query counts for the
-// Figure 7 rank analysis, streaming straight from a trace source
-// instead of pivoting a materialized count table.
+// Figure 7 rank analysis row by row, so a trace file can be ranked
+// without loading its count table (core.RanksFromTraceCSV).
 type RankAgg struct {
 	perRec map[string]map[string]int
 	total  int

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,125 +14,101 @@ import (
 	"ritw/internal/obs"
 )
 
-// feedArrivalOrder streams a dataset through the aggregator in raw
-// record order — the completion order a live run emits — rather than
-// the sorted per-VP order the wrappers use. Results must not care.
-func feedArrivalOrder(a *Aggregator, ds *measure.Dataset) {
+// figures renders every per-combo result an aggregator finalizes, so
+// two aggregators compare with one string equality. %v prints floats
+// in their shortest round-trip form and maps in key order, so equal
+// strings mean bit-equal results, NaN cells included.
+func figures(a *Aggregator) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "records %d/%d\n", a.NumRecords(), a.NumAuthRecords())
+	fmt.Fprintf(&sb, "ProbeAll %+v\n", a.ProbeAll())
+	fmt.Fprintf(&sb, "ShareVsRTT %+v\n", a.ShareVsRTT())
+	fmt.Fprintf(&sb, "Table2 %+v\n", a.Table2())
+	fmt.Fprintf(&sb, "Preference %+v\n", a.Preference())
+	weak, strong, err := a.PreferenceCI(200, 1)
+	fmt.Fprintf(&sb, "PreferenceCI %+v %+v %v\n", weak, strong, err)
+	fmt.Fprintf(&sb, "RTTSensitivity %+v\n", a.RTTSensitivity())
+	for _, site := range a.Sites() {
+		fmt.Fprintf(&sb, "SiteShare %s %+v\n", site, a.SiteShareByContinent(site))
+	}
+	fmt.Fprintf(&sb, "Hardening %+v\n", a.PreferenceHardening())
+	aw, as, n := a.AuthSidePreference(5)
+	fmt.Fprintf(&sb, "AuthSide %v %v %d\n", aw, as, n)
+	return sb.String()
+}
+
+// checkOrderInvariant feeds ds to three aggregators — in stored
+// (arrival) order, VP by VP in sorted-key order with each VP's records
+// sorted by send time, and round-robin across the VPs in reverse key
+// order with the auth records reversed — and demands identical
+// results: the aggregator needs each VP's records in send order and
+// nothing else about the interleaving.
+func checkOrderInvariant(t *testing.T, name string, ds *measure.Dataset) {
+	t.Helper()
+	byVP := make(map[string][]measure.QueryRecord)
 	for _, r := range ds.Records {
-		a.OnQuery(r)
+		byVP[r.VPKey] = append(byVP[r.VPKey], r)
+	}
+	keys := make([]string, 0, len(byVP))
+	longest := 0
+	for k, recs := range byVP {
+		keys = append(keys, k)
+		sort.SliceStable(recs, func(i, j int) bool { return sentBefore(recs[i], recs[j]) })
+		if len(recs) > longest {
+			longest = len(recs)
+		}
+	}
+	sort.Strings(keys)
+
+	arrival := Aggregate(ds)
+
+	grouped := AggregatorFor(ds)
+	for _, k := range keys {
+		for _, r := range byVP[k] {
+			grouped.OnQuery(r)
+		}
 	}
 	for _, ar := range ds.AuthRecords {
-		a.OnAuth(ar)
+		grouped.OnAuth(ar)
+	}
+
+	interleaved := AggregatorFor(ds)
+	for i := 0; i < longest; i++ {
+		for k := len(keys) - 1; k >= 0; k-- {
+			if recs := byVP[keys[k]]; i < len(recs) {
+				interleaved.OnQuery(recs[i])
+			}
+		}
+	}
+	for i := len(ds.AuthRecords) - 1; i >= 0; i-- {
+		interleaved.OnAuth(ds.AuthRecords[i])
+	}
+
+	want := figures(arrival)
+	if got := figures(grouped); got != want {
+		t.Errorf("%s: per-VP-sorted feed differs from arrival order\n got %s\nwant %s", name, got, want)
+	}
+	if got := figures(interleaved); got != want {
+		t.Errorf("%s: reverse-interleaved feed differs from arrival order\n got %s\nwant %s", name, got, want)
 	}
 }
 
-func eqNaN(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-// TestAggregatorMatchesWrappers is the tentpole invariant: one
-// streaming pass in arrival order reproduces every slice-based
-// analysis bit for bit (modulo NaN cells, which compare unequal to
-// themselves).
-func TestAggregatorMatchesWrappers(t *testing.T) {
+// TestAggregatorOrderInvariant is the property every consumer of the
+// record path relies on: a run's figures do not depend on how its
+// vantage points interleave, so a live sink, a Replay of stored
+// records and a merge of sharded lanes all finalize the same bytes.
+func TestAggregatorOrderInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-checks every aggregator against three materialized runs")
+		t.Skip("aggregates three runs three times each")
 	}
 	for _, id := range []string{"2B", "2C", "4B"} {
-		ds := dataset(t, id)
-		a := AggregatorFor(ds)
-		feedArrivalOrder(a, ds)
-
-		if got, want := a.NumRecords(), len(ds.Records); got != want {
-			t.Errorf("%s: NumRecords = %d, want %d", id, got, want)
-		}
-		if got, want := a.NumAuthRecords(), len(ds.AuthRecords); got != want {
-			t.Errorf("%s: NumAuthRecords = %d, want %d", id, got, want)
-		}
-
-		if got, want := a.ProbeAll(), ProbeAll(ds); got != want {
-			t.Errorf("%s: ProbeAll\n got %+v\nwant %+v", id, got, want)
-		}
-
-		gotShares, wantShares := a.ShareVsRTT(), ShareVsRTT(ds)
-		if len(gotShares) != len(wantShares) {
-			t.Fatalf("%s: ShareVsRTT lengths %d/%d", id, len(gotShares), len(wantShares))
-		}
-		for i := range gotShares {
-			g, w := gotShares[i], wantShares[i]
-			if g.Site != w.Site || g.Share != w.Share || g.Queries != w.Queries ||
-				!eqNaN(g.MedianRTT, w.MedianRTT) {
-				t.Errorf("%s: ShareVsRTT[%d]\n got %+v\nwant %+v", id, i, g, w)
-			}
-		}
-
-		if got, want := a.Preference(), Preference(ds); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Preference\n got %+v\nwant %+v", id, got, want)
-		}
-
-		gotT2, wantT2 := a.Table2(), Table2(ds)
-		if len(gotT2) != len(wantT2) {
-			t.Fatalf("%s: Table2 continents %d/%d", id, len(gotT2), len(wantT2))
-		}
-		for cont, wantCells := range wantT2 {
-			for site, w := range wantCells {
-				g := gotT2[cont][site]
-				if g.SharePct != w.SharePct || g.Queries != w.Queries ||
-					!eqNaN(g.MedianRTT, w.MedianRTT) {
-					t.Errorf("%s: Table2[%v][%s]\n got %+v\nwant %+v", id, cont, site, g, w)
-				}
-			}
-		}
-
-		gotRS, wantRS := a.RTTSensitivity(), RTTSensitivity(ds)
-		if len(gotRS) != len(wantRS) {
-			t.Fatalf("%s: RTTSensitivity lengths %d/%d", id, len(gotRS), len(wantRS))
-		}
-		for i := range gotRS {
-			g, w := gotRS[i], wantRS[i]
-			if g.Continent != w.Continent || g.Site != w.Site || g.Fraction != w.Fraction ||
-				g.VPs != w.VPs || !eqNaN(g.MedianRTT, w.MedianRTT) {
-				t.Errorf("%s: RTTSensitivity[%d]\n got %+v\nwant %+v", id, i, g, w)
-			}
-		}
-
-		for _, site := range ds.Sites {
-			got, want := a.SiteShareByContinent(site), SiteShareByContinent(ds, site)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: SiteShareByContinent(%s)\n got %+v\nwant %+v", id, site, got, want)
-			}
-		}
-
-		if got, want := a.PreferenceHardening(), PreferenceHardening(ds); got != want {
-			t.Errorf("%s: PreferenceHardening\n got %+v\nwant %+v", id, got, want)
-		}
-
-		gw, gs, gn := a.AuthSidePreference(5)
-		ww, ws, wn := AuthSidePreference(ds, 5)
-		if gw != ww || gs != ws || gn != wn {
-			t.Errorf("%s: AuthSidePreference = %v/%v/%d, want %v/%v/%d", id, gw, gs, gn, ww, ws, wn)
-		}
-
-		if len(ds.Sites) == 2 {
-			gWeak, gStrong, gErr := a.PreferenceCI(200, 1)
-			wWeak, wStrong, wErr := PreferenceCI(ds, 200, 1)
-			if gErr != nil || wErr != nil {
-				t.Fatalf("%s: CI errors %v/%v", id, gErr, wErr)
-			}
-			if gWeak != wWeak || gStrong != wStrong {
-				t.Errorf("%s: PreferenceCI = %+v/%+v, want %+v/%+v", id, gWeak, gStrong, wWeak, wStrong)
-			}
-		} else {
-			if _, _, err := a.PreferenceCI(100, 1); err == nil {
-				t.Errorf("%s: PreferenceCI should reject non-pair combos", id)
-			}
-		}
+		checkOrderInvariant(t, id, dataset(t, id))
 	}
 }
 
-// TestAggregatorAsRunSink drives the aggregator directly from a
-// streaming run — no dataset ever materialized — and checks it agrees
-// with the wrappers over the equivalent materialized run.
+// TestAggregatorAsRunSink drives the aggregator directly from a run —
+// no record ever stored — and checks it agrees with replaying the
+// records of the same run kept in its Dataset.
 func TestAggregatorAsRunSink(t *testing.T) {
 	combo, err := measure.CombinationByID("2C")
 	if err != nil {
@@ -145,17 +124,12 @@ func TestAggregatorAsRunSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewAggregator(AggConfig{ComboID: combo.ID, Sites: combo.Sites, Duration: cfg.Duration})
-	if _, err := measure.RunStream(cfg, a); err != nil {
+	cfg.Sink = a
+	if _, err := measure.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := a.ProbeAll(), ProbeAll(ds); got != want {
-		t.Errorf("ProbeAll from run sink\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := a.Preference(), Preference(ds); !reflect.DeepEqual(got, want) {
-		t.Errorf("Preference from run sink\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := a.PreferenceHardening(), PreferenceHardening(ds); got != want {
-		t.Errorf("Hardening from run sink\n got %+v\nwant %+v", got, want)
+	if got, want := figures(a), figures(Aggregate(ds)); got != want {
+		t.Errorf("run sink differs from replay\n got %s\nwant %s", got, want)
 	}
 	if a.NumRecords() != len(ds.Records) || a.NumAuthRecords() != len(ds.AuthRecords) {
 		t.Errorf("streamed %d/%d records, want %d/%d",
@@ -166,8 +140,9 @@ func TestAggregatorAsRunSink(t *testing.T) {
 	}
 }
 
-// TestAggregatorCrafted replays the crafted-semantics scenarios
-// through arrival-order streaming.
+// TestAggregatorCrafted puts the crafted-semantics scenarios — failed
+// queries, a VP below the five-answer floor, late coverage — through
+// the order-invariance property.
 func TestAggregatorCrafted(t *testing.T) {
 	ds := craftedDataset([]string{"A", "B"})
 	fast := map[string]float64{"A": 10, "B": 100}
@@ -175,39 +150,20 @@ func TestAggregatorCrafted(t *testing.T) {
 	addVP(ds, 2, geo.Oceania, fast, []string{"B", "", "B", "A", "B", "B", "B", "B", "B", "B"})
 	addVP(ds, 3, geo.Europe, fast, []string{"A", "B", "A"})
 	addVP(ds, 4, geo.Asia, fast, []string{"A", "", "B", "A", "A", "A", "B", "B", "A", "A", "A", "A"})
-
-	a := AggregatorFor(ds)
-	feedArrivalOrder(a, ds)
-	if got, want := a.ProbeAll(), ProbeAll(ds); got != want {
-		t.Errorf("ProbeAll\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := a.Preference(), Preference(ds); !reflect.DeepEqual(got, want) {
-		t.Errorf("Preference\n got %+v\nwant %+v", got, want)
-	}
-	if got, want := a.PreferenceHardening(), PreferenceHardening(ds); got != want {
-		t.Errorf("Hardening\n got %+v\nwant %+v", got, want)
-	}
-	shares := a.ShareVsRTT()
-	want := ShareVsRTT(ds)
-	for i := range shares {
-		if shares[i].Queries != want[i].Queries || !eqNaN(shares[i].MedianRTT, want[i].MedianRTT) {
-			t.Errorf("ShareVsRTT[%d] = %+v, want %+v", i, shares[i], want[i])
-		}
-	}
+	checkOrderInvariant(t, "crafted", ds)
 }
 
 // TestAggregatorBoundedMode checks MaxSamples caps retained samples
 // while keeping medians close, and that it strictly shrinks the state.
 func TestAggregatorBoundedMode(t *testing.T) {
 	ds := dataset(t, "2C")
-	exact := AggregatorFor(ds)
-	feedArrivalOrder(exact, ds)
+	exact := Aggregate(ds)
 
 	bounded := NewAggregator(AggConfig{
 		ComboID: ds.ComboID, Sites: ds.Sites, Duration: ds.Duration,
 		MaxSamples: 128, Seed: 42,
 	})
-	feedArrivalOrder(bounded, ds)
+	ds.Replay(bounded)
 
 	if bounded.Size() >= exact.Size() {
 		t.Errorf("bounded size %d not below exact %d", bounded.Size(), exact.Size())
@@ -238,7 +194,7 @@ func TestAggregatorMetrics(t *testing.T) {
 	a := NewAggregator(AggConfig{
 		ComboID: ds.ComboID, Sites: ds.Sites, Duration: ds.Duration, Metrics: reg,
 	})
-	feedArrivalOrder(a, ds)
+	ds.Replay(a)
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
-// Package analysis computes the paper's figures and tables from
-// measurement datasets: queries-to-probe-all (Fig. 2), aggregate query
+// Package analysis computes the paper's figures and tables from a
+// measurement's record stream: queries-to-probe-all (Fig. 2), aggregate query
 // share versus RTT (Fig. 3), per-recursive preference classification
 // (Fig. 4, Table 2), RTT sensitivity (Fig. 5), probing-interval
 // dependence (Fig. 6), and the per-recursive rank bands of production
@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"ritw/internal/geo"
-	"ritw/internal/measure"
 	"ritw/internal/stats"
 )
 
@@ -27,68 +26,6 @@ const (
 	MinRTTGapMs = 50.0
 )
 
-// VPSeries is all observations of one vantage point: a (probe,
-// recursive) pair, the paper's unit of analysis.
-type VPSeries struct {
-	Key       string
-	Continent geo.Continent
-	// Records in send order; includes failed queries.
-	Records []measure.QueryRecord
-}
-
-// SiteCounts tallies this VP's answered queries per site.
-func (v *VPSeries) SiteCounts() map[string]int {
-	counts := make(map[string]int)
-	for _, r := range v.Records {
-		if r.OK && r.Site != "" {
-			counts[r.Site]++
-		}
-	}
-	return counts
-}
-
-// MedianRTTTo returns the VP's median RTT over answered queries served
-// by the given site (NaN if none).
-func (v *VPSeries) MedianRTTTo(site string) float64 {
-	var xs []float64
-	for _, r := range v.Records {
-		if r.OK && r.Site == site {
-			xs = append(xs, r.RTTms)
-		}
-	}
-	return stats.Median(xs)
-}
-
-// VPs groups a dataset into per-VP series, ordered deterministically.
-func VPs(ds *measure.Dataset) []*VPSeries {
-	byKey := make(map[string]*VPSeries)
-	for _, r := range ds.Records {
-		v, ok := byKey[r.VPKey]
-		if !ok {
-			v = &VPSeries{Key: r.VPKey, Continent: r.Continent}
-			byKey[r.VPKey] = v
-		}
-		v.Records = append(v.Records, r)
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*VPSeries, len(keys))
-	for i, k := range keys {
-		v := byKey[k]
-		sort.Slice(v.Records, func(a, b int) bool {
-			if v.Records[a].SentAt != v.Records[b].SentAt {
-				return v.Records[a].SentAt < v.Records[b].SentAt
-			}
-			return v.Records[a].Seq < v.Records[b].Seq
-		})
-		out[i] = v
-	}
-	return out
-}
-
 // ProbeAllResult reproduces Figure 2 for one combination: how many
 // queries after the first it takes a recursive to contact every
 // authoritative, and what share ever do.
@@ -104,13 +41,6 @@ type ProbeAllResult struct {
 	VPs int
 }
 
-// ProbeAll computes Figure 2 for a dataset. VPs with fewer than five
-// answered queries are skipped, mirroring the paper's server-side
-// filter.
-func ProbeAll(ds *measure.Dataset) ProbeAllResult {
-	return aggregate(ds).ProbeAll()
-}
-
 // SiteShare is one bar of Figure 3: a site's share of all answered
 // queries and the median RTT recursives see to it.
 type SiteShare struct {
@@ -120,25 +50,12 @@ type SiteShare struct {
 	Queries   int
 }
 
-// ShareVsRTT computes Figure 3 for a dataset. Following §4.2, the
-// tally starts once a VP has reached the hot-cache condition (has
-// queried every site at least once).
-func ShareVsRTT(ds *measure.Dataset) []SiteShare {
-	return aggregate(ds).ShareVsRTT()
-}
-
 // ContinentSiteShare is one cell pair of Table 2: the share of a
 // continent's queries going to a site and the median RTT.
 type ContinentSiteShare struct {
 	SharePct  float64
 	MedianRTT float64
 	Queries   int
-}
-
-// Table2 computes the per-continent query distribution and median RTT
-// for each site of a dataset (the paper's Table 2 rows).
-func Table2(ds *measure.Dataset) map[geo.Continent]map[string]ContinentSiteShare {
-	return aggregate(ds).Table2()
 }
 
 // PreferenceResult reproduces Figure 4's preference quantification for
@@ -157,24 +74,9 @@ type PreferenceResult struct {
 	Curves map[geo.Continent]map[string][]float64
 }
 
-// Preference computes Figure 4 for a two-site dataset. VPs with fewer
-// than five answered queries are excluded, as in the paper's
-// middlebox cross-check.
-func Preference(ds *measure.Dataset) PreferenceResult {
-	return aggregate(ds).Preference()
-}
-
 // Interval is a bootstrap confidence interval.
 type Interval struct {
 	Lo, Hi float64
-}
-
-// PreferenceCI puts 95% bootstrap confidence intervals on a two-site
-// dataset's weak and strong preference fractions — uncertainty the
-// paper's point estimates do not carry. It resamples the qualified
-// VPs' top-site shares.
-func PreferenceCI(ds *measure.Dataset, rounds int, seed int64) (weak, strong Interval, err error) {
-	return aggregate(ds).PreferenceCI(rounds, seed)
 }
 
 // RTTSensitivityPoint is one point of Figure 5: a continent's median
@@ -187,18 +89,6 @@ type RTTSensitivityPoint struct {
 	VPs       int
 }
 
-// RTTSensitivity computes Figure 5 from a two-site dataset.
-func RTTSensitivity(ds *measure.Dataset) []RTTSensitivityPoint {
-	return aggregate(ds).RTTSensitivity()
-}
-
-// SiteShareByContinent returns the fraction of each continent's
-// answered queries that went to the named site — one curve point of
-// Figure 6 per continent.
-func SiteShareByContinent(ds *measure.Dataset, site string) map[geo.Continent]float64 {
-	return aggregate(ds).SiteShareByContinent(site)
-}
-
 // HardeningResult quantifies §4.3's observation that weak preferences
 // strengthen over the hour.
 type HardeningResult struct {
@@ -208,19 +98,6 @@ type HardeningResult struct {
 	// half of the measurement.
 	FirstHalf  float64
 	SecondHalf float64
-}
-
-// PreferenceHardening splits each weak-preference VP's queries at the
-// measurement midpoint and compares its top-site share across halves.
-func PreferenceHardening(ds *measure.Dataset) HardeningResult {
-	return aggregate(ds).PreferenceHardening()
-}
-
-// AuthSidePreference recomputes the Figure-4 preference curve from the
-// authoritative-side capture, for recursives that sent at least
-// minQueries — the paper's middlebox sanity check (§3.1).
-func AuthSidePreference(ds *measure.Dataset, minQueries int) (weakFrac, strongFrac float64, resolvers int) {
-	return aggregate(ds).AuthSidePreference(minQueries)
 }
 
 // RankBands reproduces Figure 7's headline numbers: among recursives

@@ -44,36 +44,46 @@ func dataset(t *testing.T, comboID string) *measure.Dataset {
 	return ds
 }
 
+// TestVPsGrouping pins the precondition the aggregator's per-VP state
+// rests on: a run delivers each vantage point's records in send order,
+// so no consumer needs to re-sort them.
 func TestVPsGrouping(t *testing.T) {
 	ds := dataset(t, "2B")
-	vps := VPs(ds)
-	if len(vps) == 0 {
-		t.Fatal("no VPs")
-	}
-	total := 0
-	for _, vp := range vps {
-		total += len(vp.Records)
-		for i := 1; i < len(vp.Records); i++ {
-			if vp.Records[i].SentAt < vp.Records[i-1].SentAt {
-				t.Fatal("VP records out of order")
-			}
-		}
-		if vp.Key == "" {
+	last := make(map[string]measure.QueryRecord)
+	for _, r := range ds.Records {
+		if r.VPKey == "" {
 			t.Fatal("empty VP key")
 		}
+		if prev, ok := last[r.VPKey]; ok && !sentBefore(prev, r) {
+			t.Fatalf("VP %s: seq %d (sent %v) delivered after seq %d (sent %v)",
+				r.VPKey, r.Seq, r.SentAt, prev.Seq, prev.SentAt)
+		}
+		last[r.VPKey] = r
 	}
-	if total != len(ds.Records) {
-		t.Errorf("VP records %d != dataset records %d", total, len(ds.Records))
+	a := Aggregate(ds)
+	if a.NumRecords() != len(ds.Records) {
+		t.Errorf("aggregated %d records, dataset has %d", a.NumRecords(), len(ds.Records))
+	}
+	if len(a.vps) != len(last) {
+		t.Errorf("aggregator tracks %d VPs, dataset has %d", len(a.vps), len(last))
 	}
 	// Multi-resolver probes yield more VPs than probes.
-	if len(vps) <= ds.ActiveProbes {
-		t.Errorf("VPs %d should exceed probes %d (multi-resolver effect)", len(vps), ds.ActiveProbes)
+	if len(last) <= ds.ActiveProbes {
+		t.Errorf("VPs %d should exceed probes %d (multi-resolver effect)", len(last), ds.ActiveProbes)
 	}
+}
+
+// sentBefore orders two records of one VP by send time, then sequence.
+func sentBefore(a, b measure.QueryRecord) bool {
+	if a.SentAt != b.SentAt {
+		return a.SentAt < b.SentAt
+	}
+	return a.Seq < b.Seq
 }
 
 func TestProbeAllShape(t *testing.T) {
 	ds2 := dataset(t, "2B")
-	res2 := ProbeAll(ds2)
+	res2 := Aggregate(ds2).ProbeAll()
 	// The paper: 75–96% of recursives query all authoritatives.
 	if res2.PercentAll < 70 || res2.PercentAll > 99 {
 		t.Errorf("2B percent-all = %.1f, want the paper's band (75–96)", res2.PercentAll)
@@ -85,7 +95,7 @@ func TestProbeAllShape(t *testing.T) {
 	}
 
 	ds4 := dataset(t, "4B")
-	res4 := ProbeAll(ds4)
+	res4 := Aggregate(ds4).ProbeAll()
 	if res4.Box.Median <= res2.Box.Median {
 		t.Errorf("4 NSes should take more queries than 2: %v vs %v",
 			res4.Box.Median, res2.Box.Median)
@@ -98,7 +108,7 @@ func TestProbeAllShape(t *testing.T) {
 
 func TestShareVsRTTInverse(t *testing.T) {
 	ds := dataset(t, "2C")
-	shares := ShareVsRTT(ds)
+	shares := Aggregate(ds).ShareVsRTT()
 	if len(shares) != 2 {
 		t.Fatalf("shares = %+v", shares)
 	}
@@ -126,7 +136,7 @@ func TestShareVsRTTInverse(t *testing.T) {
 
 func TestTable2Structure(t *testing.T) {
 	ds := dataset(t, "2C")
-	t2 := Table2(ds)
+	t2 := Aggregate(ds).Table2()
 	eu, ok := t2[geo.Europe]
 	if !ok {
 		t.Fatal("no EU row")
@@ -162,13 +172,13 @@ func TestTable2Structure(t *testing.T) {
 
 func TestPreferenceBands(t *testing.T) {
 	// 2B (small RTT gap): mostly weak preferences, few strong.
-	p2b := Preference(dataset(t, "2B"))
+	p2b := Aggregate(dataset(t, "2B")).Preference()
 	if p2b.QualifiedVPs == 0 {
 		t.Fatal("no qualified VPs in 2B")
 	}
 	// 2C (large gap): both weak and strong preference shares rise
 	// (the paper: weak 59→69%, strong 12→37%).
-	p2c := Preference(dataset(t, "2C"))
+	p2c := Aggregate(dataset(t, "2C")).Preference()
 	if p2c.StrongFrac <= p2b.StrongFrac {
 		t.Errorf("strong preference should rise with the RTT gap: 2B=%.2f 2C=%.2f",
 			p2b.StrongFrac, p2c.StrongFrac)
@@ -192,7 +202,7 @@ func TestPreferenceBands(t *testing.T) {
 }
 
 func TestRTTSensitivity(t *testing.T) {
-	points := RTTSensitivity(dataset(t, "2B"))
+	points := Aggregate(dataset(t, "2B")).RTTSensitivity()
 	if len(points) == 0 {
 		t.Fatal("no sensitivity points")
 	}
@@ -229,14 +239,14 @@ func abs(x float64) float64 {
 
 func TestSiteShareByContinent(t *testing.T) {
 	ds := dataset(t, "2C")
-	shares := SiteShareByContinent(ds, "FRA")
+	shares := Aggregate(ds).SiteShareByContinent("FRA")
 	if shares[geo.Europe] < 0.5 {
 		t.Errorf("EU share to FRA = %.2f, want majority", shares[geo.Europe])
 	}
 	if shares[geo.Oceania] > 0.5 {
 		t.Errorf("OC share to FRA = %.2f, want minority", shares[geo.Oceania])
 	}
-	inv := SiteShareByContinent(ds, "SYD")
+	inv := Aggregate(ds).SiteShareByContinent("SYD")
 	for cont := range shares {
 		if s := shares[cont] + inv[cont]; s < 0.999 || s > 1.001 {
 			t.Errorf("%v shares don't sum to 1: %v", cont, s)
@@ -245,7 +255,7 @@ func TestSiteShareByContinent(t *testing.T) {
 }
 
 func TestPreferenceHardening(t *testing.T) {
-	res := PreferenceHardening(dataset(t, "2C"))
+	res := Aggregate(dataset(t, "2C")).PreferenceHardening()
 	if res.VPs == 0 {
 		t.Skip("no weak-preference VPs in the small dataset")
 	}
@@ -257,8 +267,9 @@ func TestPreferenceHardening(t *testing.T) {
 
 func TestAuthSidePreferenceAgreesWithClientSide(t *testing.T) {
 	ds := dataset(t, "2C")
-	cw, cs := Preference(ds).WeakFrac, Preference(ds).StrongFrac
-	aw, as, n := AuthSidePreference(ds, 5)
+	a := Aggregate(ds)
+	cw, cs := a.Preference().WeakFrac, a.Preference().StrongFrac
+	aw, as, n := a.AuthSidePreference(5)
 	if n == 0 {
 		t.Fatal("no auth-side resolvers")
 	}
@@ -303,11 +314,11 @@ func TestRanks(t *testing.T) {
 
 func TestPreferenceRejectsNonPairDatasets(t *testing.T) {
 	ds := dataset(t, "4B")
-	res := Preference(ds)
+	res := Aggregate(ds).Preference()
 	if res.QualifiedVPs != 0 || len(res.Curves) != 0 {
 		t.Error("preference analysis is defined for two-site combos only")
 	}
-	h := PreferenceHardening(ds)
+	h := Aggregate(ds).PreferenceHardening()
 	if h.VPs != 0 {
 		t.Error("hardening analysis is defined for two-site combos only")
 	}
@@ -315,7 +326,7 @@ func TestPreferenceRejectsNonPairDatasets(t *testing.T) {
 
 func TestProbeAllEmptyDataset(t *testing.T) {
 	ds := &measure.Dataset{ComboID: "X", Sites: []string{"FRA"}, Duration: time.Hour}
-	res := ProbeAll(ds)
+	res := Aggregate(ds).ProbeAll()
 	if res.VPs != 0 || res.PercentAll != 0 {
 		t.Errorf("empty dataset result = %+v", res)
 	}
@@ -323,8 +334,8 @@ func TestProbeAllEmptyDataset(t *testing.T) {
 
 func TestPreferenceCI(t *testing.T) {
 	ds := dataset(t, "2C")
-	point := Preference(ds)
-	weak, strong, err := PreferenceCI(ds, 200, 1)
+	point := Aggregate(ds).Preference()
+	weak, strong, err := Aggregate(ds).PreferenceCI(200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +349,7 @@ func TestPreferenceCI(t *testing.T) {
 		t.Errorf("weak CI width = %.3f, implausible", weak.Hi-weak.Lo)
 	}
 	// Four-site datasets are rejected.
-	if _, _, err := PreferenceCI(dataset(t, "4B"), 100, 1); err == nil {
+	if _, _, err := Aggregate(dataset(t, "4B")).PreferenceCI(100, 1); err == nil {
 		t.Error("non-pair dataset should fail")
 	}
 }

@@ -9,7 +9,7 @@ import (
 // WindowsFromAttacks converts an attack schedule's campaigns into
 // labelled analysis windows ("nxns#0", "flood#1", ...), one per
 // campaign in canonical schedule order. Feeding these to
-// FaultAggregator/FaultImpacts measures the benign collateral damage
+// a FaultAggregator measures the benign collateral damage
 // of each campaign: what happened to ordinary clients' failure rate
 // and latency while the attack ran.
 func WindowsFromAttacks(s *attacks.Schedule) []FaultWindow {

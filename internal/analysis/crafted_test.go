@@ -54,7 +54,7 @@ func TestProbeAllExactSemantics(t *testing.T) {
 	// VP 4: failures don't count as coverage or answered queries.
 	addVP(ds, 4, geo.Europe, rtts, []string{"A", "", "B", "A", "A", "A"})
 
-	res := ProbeAll(ds)
+	res := Aggregate(ds).ProbeAll()
 	if res.VPs != 3 {
 		t.Fatalf("considered VPs = %d, want 3 (VP 3 filtered)", res.VPs)
 	}
@@ -74,7 +74,7 @@ func TestShareVsRTTHotCacheSemantics(t *testing.T) {
 	// first A and the first B warm the cache; only the last three
 	// count (A, A, B).
 	addVP(ds, 1, geo.Europe, rtts, []string{"A", "B", "A", "A", "B"})
-	shares := ShareVsRTT(ds)
+	shares := Aggregate(ds).ShareVsRTT()
 	bySite := map[string]SiteShare{}
 	for _, s := range shares {
 		bySite[s.Site] = s
@@ -107,7 +107,7 @@ func TestPreferenceExactThresholds(t *testing.T) {
 	// VP 5: never saw B -> no measurable gap, not qualified.
 	addVP(ds, 5, geo.Europe, fast, []string{"A", "A", "A", "A", "A", "A"})
 
-	res := Preference(ds)
+	res := Aggregate(ds).Preference()
 	if res.QualifiedVPs != 3 {
 		t.Fatalf("qualified = %d, want 3", res.QualifiedVPs)
 	}
@@ -129,7 +129,7 @@ func TestTable2ExactCells(t *testing.T) {
 	rtts := map[string]float64{"A": 10, "B": 100}
 	addVP(ds, 1, geo.Europe, rtts, []string{"A", "A", "A", "B"})
 	addVP(ds, 2, geo.Oceania, rtts, []string{"B", "B"})
-	t2 := Table2(ds)
+	t2 := Aggregate(ds).Table2()
 	eu := t2[geo.Europe]
 	if eu["A"].SharePct != 75 || eu["B"].SharePct != 25 {
 		t.Errorf("EU shares = %v/%v", eu["A"].SharePct, eu["B"].SharePct)
@@ -147,7 +147,7 @@ func TestSiteShareByContinentIgnoresFailures(t *testing.T) {
 	ds := craftedDataset([]string{"A", "B"})
 	rtts := map[string]float64{"A": 10, "B": 100}
 	addVP(ds, 1, geo.Asia, rtts, []string{"A", "", "B", ""})
-	shares := SiteShareByContinent(ds, "A")
+	shares := Aggregate(ds).SiteShareByContinent("A")
 	if shares[geo.Asia] != 0.5 {
 		t.Errorf("AS share = %v, want 0.5 (failures excluded)", shares[geo.Asia])
 	}
@@ -167,7 +167,7 @@ func TestPreferenceHardeningExactSplit(t *testing.T) {
 			Site:   site, OK: true, RTTms: rtts[site],
 		})
 	}
-	res := PreferenceHardening(ds)
+	res := Aggregate(ds).PreferenceHardening()
 	if res.VPs != 1 {
 		t.Fatalf("VPs = %d (top share %v)", res.VPs, res)
 	}

@@ -101,19 +101,3 @@ func (b *MixBreakout) Labels() []string {
 	sort.Strings(labels)
 	return labels
 }
-
-// BreakoutByPolicy is the materialized-dataset path: it feeds ds
-// through a fresh MixBreakout in the canonical per-VP order the
-// slice-based analyses use, so results match a streaming run's exactly.
-func BreakoutByPolicy(ds *measure.Dataset, assign map[string]string) *MixBreakout {
-	b := NewMixBreakout(AggConfig{ComboID: ds.ComboID, Sites: ds.Sites, Duration: ds.Duration}, assign)
-	for _, vp := range VPs(ds) {
-		for _, r := range vp.Records {
-			b.OnQuery(r)
-		}
-	}
-	for _, ar := range ds.AuthRecords {
-		b.OnAuth(ar)
-	}
-	return b
-}

@@ -10,43 +10,6 @@ import (
 	"ritw/internal/stats"
 )
 
-// WindowStats summarizes client-observed behaviour within a time
-// window of a run.
-type WindowStats struct {
-	// Queries is the number of client queries sent in the window.
-	Queries int
-	// FailRate is the fraction that got no answer (client timeout,
-	// typically after the resolver exhausted its retries).
-	FailRate float64
-	// SiteShare is the failed-site share among answered queries.
-	SiteShare float64
-	// MedianRTT is the median client RTT over answered queries —
-	// failover retries show up here as extra latency.
-	MedianRTT float64
-}
-
-// OutageImpact quantifies a site-failure window (faults.Outage): the
-// failed site's traffic share and the client failure rate before,
-// during and after the outage. The paper's §7 motivates multiple
-// authoritatives and anycast with exactly this resilience argument.
-type OutageImpact struct {
-	Site                  string
-	Before, During, After WindowStats
-}
-
-// OutageImpactOf computes the impact of an outage of site during
-// [start, end) on a dataset. It is the single-site wrapper over
-// FaultImpacts, kept for the original §7 experiment's shape.
-func OutageImpactOf(ds *measure.Dataset, site string, start, end time.Duration) OutageImpact {
-	fi := FaultImpacts(ds, []FaultWindow{{Label: "outage " + site, Site: site, Start: start, End: end}})[0]
-	return OutageImpact{
-		Site:   site,
-		Before: fi.Before.windowStats(site),
-		During: fi.During.windowStats(site),
-		After:  fi.After.windowStats(site),
-	}
-}
-
 // FaultWindow is one labelled time window whose client-side impact the
 // analysis reports on: typically the envelope of a scheduled fault.
 type FaultWindow struct {
@@ -91,16 +54,6 @@ type PhaseStats struct {
 	SiteShare map[string]float64
 }
 
-// windowStats projects the phase onto the legacy single-site view.
-func (p PhaseStats) windowStats(site string) WindowStats {
-	return WindowStats{
-		Queries:   p.Queries,
-		FailRate:  p.FailRate,
-		SiteShare: p.SiteShare[site],
-		MedianRTT: p.MedianRTT,
-	}
-}
-
 // FaultImpact is the before/during/after account of one fault window:
 // client-observed failure rate, failover latency penalty, and how the
 // answered traffic redistributed across sites.
@@ -111,17 +64,6 @@ type FaultImpact struct {
 	// extra client latency paid while resolvers routed around the
 	// fault (0 when either phase answered nothing).
 	FailoverPenaltyMs float64
-}
-
-// FaultImpacts computes the impact of each window on a materialized
-// dataset. Records are bucketed by client send time: before [0,Start),
-// during [Start,End), after [End,∞).
-func FaultImpacts(ds *measure.Dataset, windows []FaultWindow) []FaultImpact {
-	agg := NewFaultAggregator(windows, 0, 0)
-	for _, r := range ds.Records {
-		agg.OnQuery(r)
-	}
-	return agg.Impacts()
 }
 
 // phaseAgg accumulates one phase of one window incrementally.
@@ -162,12 +104,12 @@ func (p *phaseAgg) stats() PhaseStats {
 	return out
 }
 
-// FaultAggregator computes FaultImpacts one record at a time: a
-// measure.Sink usable as a streaming run's analysis so fault
-// experiments never need materialized record slices. With maxSamples
-// <= 0 the per-phase RTT sketches are exact and Impacts matches
-// FaultImpacts on the same records byte for byte; a positive cap
-// bounds memory via reservoir sampling (seeded for reproducibility).
+// FaultAggregator accounts for each window's impact one record at a
+// time: a measure.Sink, so fault experiments stream into it and never
+// hold record slices. Records are bucketed by client send time: before
+// [0,Start), during [Start,End), after [End,∞). With maxSamples <= 0
+// the per-phase RTT sketches are exact; a positive cap bounds memory
+// via reservoir sampling (seeded for reproducibility).
 type FaultAggregator struct {
 	windows []FaultWindow
 	phases  [][3]*phaseAgg // per window: before, during, after

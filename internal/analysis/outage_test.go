@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +8,20 @@ import (
 	"ritw/internal/faults"
 	"ritw/internal/measure"
 )
+
+// faultImpacts replays a finished run through a fresh exact
+// FaultAggregator.
+func faultImpacts(ds *measure.Dataset, windows []FaultWindow) []FaultImpact {
+	agg := NewFaultAggregator(windows, 0, 0)
+	ds.Replay(agg)
+	return agg.Impacts()
+}
+
+// outageImpact is the single-window account of site being down during
+// [start, end).
+func outageImpact(ds *measure.Dataset, site string, start, end time.Duration) FaultImpact {
+	return faultImpacts(ds, []FaultWindow{{Label: "outage " + site, Site: site, Start: start, End: end}})[0]
+}
 
 func TestOutageImpact(t *testing.T) {
 	combo, err := measure.CombinationByID("2B")
@@ -26,14 +39,14 @@ func TestOutageImpact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	impact := OutageImpactOf(ds, "FRA", start, end)
+	impact := outageImpact(ds, "FRA", start, end)
 	if impact.Before.Queries == 0 || impact.During.Queries == 0 || impact.After.Queries == 0 {
 		t.Fatalf("windows missing traffic: %+v", impact)
 	}
-	if impact.During.SiteShare != 0 {
-		t.Errorf("failed site served %.2f of answered queries while down", impact.During.SiteShare)
+	if share := impact.During.SiteShare["FRA"]; share != 0 {
+		t.Errorf("failed site served %.2f of answered queries while down", share)
 	}
-	if impact.Before.SiteShare == 0 {
+	if impact.Before.SiteShare["FRA"] == 0 {
 		t.Error("failed site should have served traffic beforehand")
 	}
 	// With hold-down failover the client failure rate barely moves
@@ -56,15 +69,14 @@ func TestOutageImpact(t *testing.T) {
 
 func TestOutageImpactEmptyDataset(t *testing.T) {
 	ds := &measure.Dataset{ComboID: "X", Sites: []string{"FRA", "DUB"}, Duration: time.Hour}
-	impact := OutageImpactOf(ds, "FRA", 10*time.Minute, 20*time.Minute)
+	impact := outageImpact(ds, "FRA", 10*time.Minute, 20*time.Minute)
 	if impact.Before.Queries != 0 || impact.During.FailRate != 0 || impact.After.MedianRTT != 0 {
 		t.Errorf("empty dataset impact = %+v", impact)
 	}
 }
 
 // TestFaultImpactsMultiWindow runs a schedule with two overlapping
-// faults on different sites and checks the per-window accounts plus
-// the streaming aggregator's equivalence to the materialized path.
+// faults on different sites and checks the per-window accounts.
 func TestFaultImpactsMultiWindow(t *testing.T) {
 	combo, err := measure.CombinationByID("2B")
 	if err != nil {
@@ -90,7 +102,7 @@ func TestFaultImpactsMultiWindow(t *testing.T) {
 	if len(windows) != 2 {
 		t.Fatalf("windows = %d", len(windows))
 	}
-	impacts := FaultImpacts(ds, windows)
+	impacts := faultImpacts(ds, windows)
 	for _, fi := range impacts {
 		if fi.During.Queries == 0 || fi.Before.Queries == 0 {
 			t.Fatalf("%s: empty phases: %+v", fi.Window.Label, fi)
@@ -105,23 +117,12 @@ func TestFaultImpactsMultiWindow(t *testing.T) {
 	}
 	// 30–35 min is a both-sites-dead overlap: clients must fail hard
 	// there. Check via a dedicated window over the overlap.
-	overlap := FaultImpacts(ds, []FaultWindow{{
+	overlap := faultImpacts(ds, []FaultWindow{{
 		Label: "overlap", Start: 30 * time.Minute, End: 35 * time.Minute,
 	}})[0]
 	if overlap.During.FailRate < 0.9 {
 		t.Errorf("both sites down: fail rate %.2f, want near-total failure",
 			overlap.During.FailRate)
-	}
-
-	// The streaming aggregator in exact mode reproduces the
-	// materialized analysis field for field.
-	agg := NewFaultAggregator(windows, 0, 0)
-	for _, r := range ds.Records {
-		agg.OnQuery(r)
-	}
-	streamed := agg.Impacts()
-	if !reflect.DeepEqual(impacts, streamed) {
-		t.Errorf("streaming impacts diverge from materialized:\n%+v\nvs\n%+v", impacts, streamed)
 	}
 
 	// The run report carries the injector's cut timeline for each site.

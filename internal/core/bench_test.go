@@ -54,6 +54,15 @@ type figureSet struct {
 	hardening analysis.HardeningResult
 }
 
+func figuresOf(a *analysis.Aggregator) figureSet {
+	return figureSet{
+		probeAll:  a.ProbeAll(),
+		shares:    a.ShareVsRTT(),
+		pref:      a.Preference(),
+		hardening: a.PreferenceHardening(),
+	}
+}
+
 // BenchmarkShardedRun times the same 2B run single-lane and split
 // across 8 simulation shards. The datasets are byte-identical (pinned
 // by TestShardedMatchesSequential and the sharded golden suite), so
@@ -81,10 +90,9 @@ func BenchmarkShardedRun(b *testing.B) {
 }
 
 // BenchmarkStreamingVsMaterialized compares the peak retained heap of
-// the two record paths while producing the same 2C figures: the
-// materialized path holds the full dataset (every QueryRecord and
-// AuthRecord) until the wrappers finish, while the streaming path
-// holds only the aggregator's per-VP state. The live-MiB metric is the
+// the two sinks a run can feed while producing the same 2C figures: the
+// Dataset sink holds every QueryRecord and AuthRecord until they are
+// replayed, while the Aggregator sink holds only its per-VP state. The live-MiB metric is the
 // retained-heap delta with the artifacts still referenced.
 func BenchmarkStreamingVsMaterialized(b *testing.B) {
 	scale := benchScale(b)
@@ -98,12 +106,7 @@ func BenchmarkStreamingVsMaterialized(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := figureSet{
-				probeAll:  analysis.ProbeAll(ds),
-				shares:    analysis.ShareVsRTT(ds),
-				pref:      analysis.Preference(ds),
-				hardening: analysis.PreferenceHardening(ds),
-			}
+			res := figuresOf(analysis.Aggregate(ds))
 			if d := heapDelta(base); d > peak {
 				peak = d
 			}
@@ -117,18 +120,13 @@ func BenchmarkStreamingVsMaterialized(b *testing.B) {
 		var peak int64
 		for i := 0; i < b.N; i++ {
 			base := liveHeap()
-			agg, _, err := RunCombinationAggregated(ctx, "2C",
+			agg, _, err := aggregated(ctx, "2C",
 				analysis.AggConfig{MaxSamples: 1024, Seed: 42},
 				WithSeed(42), WithScale(scale))
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := figureSet{
-				probeAll:  agg.ProbeAll(),
-				shares:    agg.ShareVsRTT(),
-				pref:      agg.Preference(),
-				hardening: agg.PreferenceHardening(),
-			}
+			res := figuresOf(agg)
 			if d := heapDelta(base); d > peak {
 				peak = d
 			}

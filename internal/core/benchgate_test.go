@@ -46,26 +46,16 @@ func TestBenchGateStreamingRetainedHeap(t *testing.T) {
 		}
 		// Keep the dataset referenced alongside the figures: the point of
 		// this arm is the cost of holding the records until the end.
-		return []any{ds, figureSet{
-			probeAll:  analysis.ProbeAll(ds),
-			shares:    analysis.ShareVsRTT(ds),
-			pref:      analysis.Preference(ds),
-			hardening: analysis.PreferenceHardening(ds),
-		}}, nil
+		return []any{ds, figuresOf(analysis.Aggregate(ds))}, nil
 	})
 	streaming := measure(func() (any, error) {
-		agg, _, err := RunCombinationAggregated(ctx, "2C",
+		agg, _, err := aggregated(ctx, "2C",
 			analysis.AggConfig{MaxSamples: 1024, Seed: 42},
 			WithSeed(42), WithScale(ScaleSmall))
 		if err != nil {
 			return nil, err
 		}
-		return figureSet{
-			probeAll:  agg.ProbeAll(),
-			shares:    agg.ShareVsRTT(),
-			pref:      agg.Preference(),
-			hardening: agg.PreferenceHardening(),
-		}, nil
+		return figuresOf(agg), nil
 	})
 
 	t.Logf("retained heap: streaming %.2f MiB, materialized %.2f MiB",
@@ -137,7 +127,7 @@ func TestBenchGateShardedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return analysis.ProbeAll(ds), time.Since(start)
+		return analysis.Aggregate(ds).ProbeAll(), time.Since(start)
 	}
 
 	seqFig, seq := timed(1)

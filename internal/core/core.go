@@ -7,6 +7,7 @@
 package core
 
 import (
+	"io"
 	"time"
 
 	"ritw/internal/analysis"
@@ -74,4 +75,24 @@ func RunNLTrace(seed int64, scale Scale) (*ditl.Trace, analysis.RankBands, error
 	// Half the NSes are observed, so halve the busy threshold.
 	rb := analysis.Ranks(trace.PerRecursive(), len(trace.Observed), 125)
 	return trace, rb, nil
+}
+
+// RanksFromTraceCSV streams a trace CSV (ditl.WriteCSV's format) into
+// the Figure-7 rank analysis without materializing the trace.
+// totalServers <= 0 uses the number of distinct servers in the file.
+func RanksFromTraceCSV(r io.Reader, totalServers, minQueries int) (analysis.RankBands, error) {
+	agg := analysis.NewRankAgg()
+	servers := make(map[string]bool)
+	err := ditl.StreamCSV(r, func(server, rec string, n int) error {
+		servers[server] = true
+		agg.Observe(rec, server, n)
+		return nil
+	})
+	if err != nil {
+		return analysis.RankBands{}, err
+	}
+	if totalServers <= 0 {
+		totalServers = len(servers)
+	}
+	return agg.Bands(totalServers, minQueries), nil
 }

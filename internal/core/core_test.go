@@ -59,8 +59,8 @@ func TestRunIntervalSweepTiny(t *testing.T) {
 	}
 	// Figure 6's shape: the FRA preference is strongest at the fastest
 	// cadence.
-	fast := analysis.SiteShareByContinent(dss[0], "FRA")
-	slow := analysis.SiteShareByContinent(dss[1], "FRA")
+	fast := analysis.Aggregate(dss[0]).SiteShareByContinent("FRA")
+	slow := analysis.Aggregate(dss[1]).SiteShareByContinent("FRA")
 	euFast, euSlow := fast[geo.Europe], slow[geo.Europe]
 	if euFast <= 0.5 {
 		t.Errorf("EU share to FRA at 2min = %.2f, want majority", euFast)

@@ -19,7 +19,7 @@ func ExampleRunCombinationContext() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pref := analysis.Preference(ds)
+	pref := analysis.Aggregate(ds).Preference()
 	fmt.Printf("qualified VPs: %d, weak: %.0f%%, strong: %.0f%%\n",
 		pref.QualifiedVPs, 100*pref.WeakFrac, 100*pref.StrongFrac)
 	// Not asserting exact output: the run is stochastic by seed.

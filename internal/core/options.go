@@ -40,20 +40,17 @@ type RunOpts struct {
 	// Progress, if set, is called after every job in a batch finishes.
 	// Calls are serialized by the runner.
 	Progress func(BatchProgress)
-	// SinkFor, if set, supplies a streaming sink per run; records are
-	// pushed into it as they complete instead of (or, without
-	// StreamOnly, in addition to) being materialized. The key is the
-	// run's identity within its batch: the combination ID for Table-1
-	// runs, the interval string for the Figure-6 sweep, and
-	// "<combo>/<index>" for replicates. Each run closes its own sink,
-	// and batch runs call SinkFor concurrently, so it must be safe for
-	// concurrent use and return independent sinks.
+	// SinkFor, if set, supplies a sink per run: records are pushed into
+	// it as they complete and the run returns a summary-only dataset,
+	// so peak memory stops scaling with population size (see
+	// measure.RunConfig.Sink). A nil sink leaves that run's records in
+	// its returned dataset. The key is the run's identity within its
+	// batch: the combination ID for Table-1 runs, the interval string
+	// for the Figure-6 sweep, the scenario name for scenario batches,
+	// and "<combo>/<index>" for replicates. Each run closes its own
+	// sink, and batch runs call SinkFor concurrently, so it must be safe
+	// for concurrent use and return independent sinks.
 	SinkFor func(key string) measure.Sink
-	// StreamOnly drops record materialization: runs return summary-only
-	// datasets and records exist solely in the SinkFor sinks. This is
-	// the bounded-memory batch mode — peak memory stops scaling with
-	// population size.
-	StreamOnly bool
 	// Faults applies a fault schedule to every run in the batch (see
 	// measure.RunConfig.Faults). Scenario batches override it per run.
 	Faults *faults.Schedule
@@ -136,12 +133,6 @@ func WithSink(f func(key string) measure.Sink) Option {
 	return func(o *RunOpts) { o.SinkFor = f }
 }
 
-// WithStreamOnly stops runs from materializing records; combined with
-// WithSink it is the bounded-memory batch mode.
-func WithStreamOnly(on bool) Option {
-	return func(o *RunOpts) { o.StreamOnly = on }
-}
-
 // WithFaults applies a fault schedule to every run in the batch.
 func WithFaults(s *faults.Schedule) Option {
 	return func(o *RunOpts) { o.Faults = s }
@@ -207,7 +198,6 @@ func (o RunOpts) runConfig(combo measure.Combination, off int64, key string) mea
 	if o.SinkFor != nil {
 		cfg.Sink = o.SinkFor(key)
 	}
-	cfg.StreamOnly = o.StreamOnly
 	cfg.Faults = o.Faults
 	cfg.Backoff = o.Backoff
 	cfg.Mix = o.Mix

@@ -357,7 +357,6 @@ func (o RunOpts) scenarioConfig(sc Scenario) (measure.RunConfig, error) {
 func ScenarioRunConfig(sc Scenario, opts ...Option) (measure.RunConfig, error) {
 	o := NewRunOpts(opts...)
 	o.SinkFor = nil
-	o.StreamOnly = false
 	return o.scenarioConfig(sc)
 }
 

@@ -12,29 +12,47 @@ import (
 	"ritw/internal/measure"
 )
 
-// TestRunCombinationAggregated: streaming a run into an aggregator
-// yields the same figures as materializing and running the wrappers.
+// aggregated runs one combination with an aggregator as its sink — the
+// bounded-memory way to get a run's figures — and returns the
+// aggregator with the run's summary dataset.
+func aggregated(ctx context.Context, comboID string, aggCfg analysis.AggConfig, opts ...Option) (*analysis.Aggregator, *measure.Dataset, error) {
+	combo, err := measure.CombinationByID(comboID)
+	if err != nil {
+		return nil, nil, err
+	}
+	aggCfg.ComboID, aggCfg.Sites = combo.ID, combo.Sites
+	aggCfg.Duration = measure.DefaultRunConfig(combo, 0).Duration
+	agg := analysis.NewAggregator(aggCfg)
+	summary, err := RunCombinationContext(ctx, comboID,
+		append(opts, WithSink(func(string) measure.Sink { return agg }))...)
+	return agg, summary, err
+}
+
+// TestRunCombinationAggregated: a run handed an aggregator through
+// WithSink returns the summary alone, and the aggregator finalizes the
+// same figures as a replay of the records the run keeps without one.
 func TestRunCombinationAggregated(t *testing.T) {
 	ctx := context.Background()
 	ds, err := RunCombinationContext(ctx, "2C", tinyOpts(31)...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, summary, err := RunCombinationAggregated(ctx, "2C", analysis.AggConfig{}, tinyOpts(31)...)
+	agg, summary, err := aggregated(ctx, "2C", analysis.AggConfig{}, tinyOpts(31)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(summary.Records) != 0 || len(summary.AuthRecords) != 0 {
-		t.Errorf("aggregated run materialized %d/%d records",
+		t.Errorf("run with a sink also kept %d/%d records",
 			len(summary.Records), len(summary.AuthRecords))
 	}
 	if summary.ActiveProbes != ds.ActiveProbes {
 		t.Errorf("summary probes = %d, want %d", summary.ActiveProbes, ds.ActiveProbes)
 	}
-	if got, want := agg.ProbeAll(), analysis.ProbeAll(ds); got != want {
+	replayed := analysis.Aggregate(ds)
+	if got, want := agg.ProbeAll(), replayed.ProbeAll(); got != want {
 		t.Errorf("ProbeAll\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := agg.PreferenceHardening(), analysis.PreferenceHardening(ds); got != want {
+	if got, want := agg.PreferenceHardening(), replayed.PreferenceHardening(); got != want {
 		t.Errorf("Hardening\n got %+v\nwant %+v", got, want)
 	}
 	if agg.NumRecords() != len(ds.Records) {
@@ -43,7 +61,7 @@ func TestRunCombinationAggregated(t *testing.T) {
 }
 
 // TestTable1WithSinks: the batch API fans each combination's stream
-// into its own sink, keyed by combination ID, in stream-only mode.
+// into its own sink, keyed by combination ID.
 func TestTable1WithSinks(t *testing.T) {
 	var mu sync.Mutex
 	bufs := make(map[string]*bytes.Buffer)
@@ -55,7 +73,7 @@ func TestTable1WithSinks(t *testing.T) {
 		return measure.NewCSVSink(buf, key)
 	}
 	dss, err := RunTable1Context(context.Background(),
-		append(tinyOpts(11), WithSink(sinkFor), WithStreamOnly(true))...)
+		append(tinyOpts(11), WithSink(sinkFor))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +82,7 @@ func TestTable1WithSinks(t *testing.T) {
 	}
 	for id, ds := range dss {
 		if len(ds.Records) != 0 {
-			t.Errorf("%s: stream-only run materialized %d records", id, len(ds.Records))
+			t.Errorf("%s: run with a sink also kept %d records", id, len(ds.Records))
 		}
 		if ds.ActiveProbes == 0 {
 			t.Errorf("%s: summary lost", id)
@@ -88,37 +106,6 @@ func keys(m map[string]*bytes.Buffer) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// TestRootTraceStreamMatches: the streaming rank path reproduces the
-// materialized bands exactly at the same seed.
-func TestRootTraceStreamMatches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the root trace twice")
-	}
-	trace, want, err := RunRootTrace(3, ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := RunRootTraceStream(3, ScaleSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Bands != want {
-		t.Errorf("streamed bands\n got %+v\nwant %+v", st.Bands, want)
-	}
-	sTrace := st.Trace
-	if sTrace.TotalQueries != trace.TotalQueries || sTrace.Recursives != trace.Recursives {
-		t.Errorf("stream summary %d/%d, want %d/%d",
-			sTrace.TotalQueries, sTrace.Recursives, trace.TotalQueries, trace.Recursives)
-	}
-	if len(sTrace.Counts) != 0 {
-		t.Errorf("streaming trace kept %d count tables", len(sTrace.Counts))
-	}
-	// The aggregator's pivot must match the materialized trace's.
-	if got := analysis.Ranks(st.Agg.PerRecursive(), len(sTrace.Observed), 250); got != want {
-		t.Errorf("agg pivot bands\n got %+v\nwant %+v", got, want)
-	}
 }
 
 // TestRanksFromTraceCSV: streaming a trace file reproduces the

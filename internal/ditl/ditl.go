@@ -122,12 +122,6 @@ type Config struct {
 	// order — the hook that feeds an ENTRADA-style warehouse
 	// (internal/entrada) with the raw per-query stream.
 	Recorder func(server string, src netip.Addr, at time.Duration)
-	// DiscardCounts skips building the Trace.Counts table, for callers
-	// that consume the capture through Recorder (e.g. a streaming rank
-	// aggregator) and don't want a second copy of the counts in memory.
-	// The returned trace still carries Observed, TotalQueries and
-	// Recursives.
-	DiscardCounts bool
 }
 
 // DefaultRootConfig returns a root-trace synthesis at a scale that
@@ -227,13 +221,8 @@ func Run(cfg Config) (*Trace, error) {
 		Observed: append([]string(nil), cfg.Observed...),
 		Counts:   make(map[string]map[string]int),
 	}
-	var srcSet map[string]struct{} // distinct recursives when counts are discarded
-	if cfg.DiscardCounts {
-		srcSet = make(map[string]struct{})
-	} else {
-		for _, name := range cfg.Observed {
-			trace.Counts[name] = make(map[string]int)
-		}
+	for _, name := range cfg.Observed {
+		trace.Counts[name] = make(map[string]int)
 	}
 
 	// Zone served by every site of every server.
@@ -269,11 +258,7 @@ func Run(cfg Config) (*Trace, error) {
 					if now < captureStart || now >= captureEnd {
 						return
 					}
-					if cfg.DiscardCounts {
-						srcSet[qi.Src.String()] = struct{}{}
-					} else {
-						trace.Counts[srv.Name][qi.Src.String()]++
-					}
+					trace.Counts[srv.Name][qi.Src.String()]++
 					trace.TotalQueries++
 					if cfg.Recorder != nil {
 						cfg.Recorder(srv.Name, qi.Src, now)
@@ -372,11 +357,7 @@ func Run(cfg Config) (*Trace, error) {
 	}
 
 	sim.RunUntil(captureEnd + 5*time.Second)
-	if cfg.DiscardCounts {
-		trace.Recursives = len(srcSet)
-	} else {
-		trace.Recursives = len(trace.PerRecursive())
-	}
+	trace.Recursives = len(trace.PerRecursive())
 	return trace, nil
 }
 

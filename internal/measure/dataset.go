@@ -28,14 +28,25 @@ func (d *Dataset) meta() Meta {
 	}
 }
 
+// Replay feeds the dataset's records to sink in stored order — client
+// records, then auth records — which is the order a run delivered
+// them: it is how stored records (a finished run's, ReadCSV's,
+// ReadJSONL's) reach the sinks a live run streams into. Replay neither
+// sends the summary nor closes the sink.
+func (d *Dataset) Replay(sink Sink) {
+	for _, r := range d.Records {
+		sink.OnQuery(r)
+	}
+	for _, a := range d.AuthRecords {
+		sink.OnAuth(a)
+	}
+}
+
 // WriteCSV emits the client-side records in the spirit of the paper's
-// published datasets: one row per probe query. It is the materialized
-// twin of CSVSink and produces identical bytes.
+// published datasets: one row per probe query, in CSVSink's format.
 func (d *Dataset) WriteCSV(w io.Writer) error {
 	s := NewCSVSink(w, d.ComboID)
-	for _, r := range d.Records {
-		s.OnQuery(r)
-	}
+	d.Replay(s)
 	return s.Close()
 }
 
@@ -192,12 +203,7 @@ type jsonLineIn struct {
 func (d *Dataset) WriteJSONL(w io.Writer) error {
 	s := NewJSONLSink(w, d.ComboID)
 	s.OnMeta(d.meta())
-	for _, r := range d.Records {
-		s.OnQuery(r)
-	}
-	for _, a := range d.AuthRecords {
-		s.OnAuth(a)
-	}
+	d.Replay(s)
 	return s.Close()
 }
 

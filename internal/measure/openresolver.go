@@ -41,11 +41,9 @@ type OpenResolverConfig struct {
 	ClientTimeout time.Duration
 	// Metrics aggregates obs counters like RunConfig.Metrics.
 	Metrics *obs.Registry
-	// Sink and StreamOnly mirror RunConfig: records stream into Sink
-	// as they complete, and StreamOnly keeps them out of the returned
-	// Dataset.
-	Sink       Sink
-	StreamOnly bool
+	// Sink mirrors RunConfig.Sink: if set, records stream into it as
+	// they complete and the returned Dataset is the summary.
+	Sink Sink
 	// OnAssign, if set, observes each open resolver's drawn policy at
 	// population-build time (before the simulation starts). Purely
 	// observational — it must not (and cannot) perturb the build's RNG
@@ -112,7 +110,7 @@ func RunOpenResolversContext(ctx context.Context, cfg OpenResolverConfig) (*Data
 		Duration: cfg.Duration,
 		SiteAddr: make(map[string]netip.Addr),
 	}
-	sink := streamTarget(ds, RunConfig{Sink: cfg.Sink, StreamOnly: cfg.StreamOnly})
+	sink := streamTarget(ds, cfg.Sink)
 	emit, emitAuth := instrumentedEmit(sink, cfg.Metrics)
 	authAddrs, _, err := buildAuthSites(sim, net, cfg.Combo, ds.SiteAddr, emitAuth, cfg.Metrics)
 	if err != nil {

@@ -153,17 +153,14 @@ type RunConfig struct {
 	// observational: datasets stay byte-identical for a given seed.
 	Metrics *obs.Registry
 	// Sink, if set, receives every QueryRecord and AuthRecord the
-	// moment it completes, in addition to (or, with StreamOnly,
-	// instead of) the returned Dataset's slices. The run owns the sink
-	// and closes it once the simulation finishes — also on error, so
-	// writer sinks always flush.
+	// moment it completes, and the returned Dataset then carries only
+	// the run summary (combo, sites, interval, duration, active probes,
+	// site addresses, fault and attack reports): memory is bounded by
+	// the sink's state instead of the record count. With a nil Sink the
+	// returned Dataset is the sink and holds every record. The run owns
+	// the sink and closes it once the simulation finishes — also on
+	// error, so writer sinks always flush.
 	Sink Sink
-	// StreamOnly suppresses record materialization: the returned
-	// Dataset carries only the summary fields (combo, sites, interval,
-	// duration, active probes, site addresses) and records flow solely
-	// through Sink. This bounds a run's memory by the sink's state
-	// instead of the record count.
-	StreamOnly bool
 	// Shards splits the vantage-point population into that many
 	// independent simulation lanes run concurrently (0 or 1 = one
 	// lane). Partitioning follows resolver closures — a probe lands in
@@ -203,21 +200,9 @@ func Run(cfg RunConfig) (*Dataset, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// RunStream executes one measurement pushing every record into sink
-// and never materializing them: the returned Dataset holds summary
-// fields only. It is the context-free wrapper around RunStreamContext.
-func RunStream(cfg RunConfig, sink Sink) (*Dataset, error) {
-	return RunStreamContext(context.Background(), cfg, sink)
-}
-
-// RunStreamContext is RunContext in stream-only mode: records flow
-// through sink as they complete and the returned Dataset carries only
-// the run summary. The record sequence each vantage point observes is
-// identical to the materialized path's, so aggregator sinks reproduce
-// the slice-based analyses exactly.
+// RunStreamContext is RunContext with cfg.Sink set to sink.
 func RunStreamContext(ctx context.Context, cfg RunConfig, sink Sink) (*Dataset, error) {
 	cfg.Sink = sink
-	cfg.StreamOnly = true
 	return RunContext(ctx, cfg)
 }
 
@@ -259,7 +244,7 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 		Interval: cfg.Interval,
 		Duration: cfg.Duration,
 	}
-	sink := streamTarget(ds, cfg)
+	sink := streamTarget(ds, cfg.Sink)
 	emit, emitAuth := instrumentedEmit(sink, cfg.Metrics)
 
 	// Validate the schedules up front; each shard compiles them into
@@ -292,21 +277,13 @@ func RunContext(ctx context.Context, cfg RunConfig) (*Dataset, error) {
 	return ds, finishSink(sink, ds.meta())
 }
 
-// streamTarget picks where a run's records go: the dataset itself, the
-// configured sink, or both via a tee. The returned sink always carries
-// ds's metadata through OnMeta, even in stream-only mode, so the
-// summary Dataset a streaming run returns is fully populated.
-func streamTarget(ds *Dataset, cfg RunConfig) Sink {
-	switch {
-	case cfg.Sink == nil && !cfg.StreamOnly:
+// streamTarget picks where a run's records go: the configured sink, or
+// the dataset itself when there is none.
+func streamTarget(ds *Dataset, sink Sink) Sink {
+	if sink == nil {
 		return ds
-	case cfg.Sink == nil:
-		return Discard
-	case cfg.StreamOnly:
-		return cfg.Sink
-	default:
-		return Tee(ds, cfg.Sink)
 	}
+	return sink
 }
 
 // instrumentedEmit wraps the sink's methods with the streamed-record

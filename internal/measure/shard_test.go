@@ -27,16 +27,15 @@ func shardCfg(t *testing.T, comboID string, probes int, seed int64) RunConfig {
 	return cfg
 }
 
-// runToCSV executes cfg in stream mode, returning the exact CSV bytes
-// plus the materialized dataset from a second, slice-collecting run of
-// the same config.
+// runToCSV executes cfg into a CSV sink, returning the exact CSV bytes
+// plus the dataset from a second, record-keeping run of the same
+// config.
 func runToCSV(t *testing.T, cfg RunConfig) ([]byte, *Dataset) {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := RunStream(cfg, NewCSVSink(&buf, cfg.Combo.ID)); err != nil {
+	if _, err := runInto(cfg, NewCSVSink(&buf, cfg.Combo.ID)); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Sink, cfg.StreamOnly = nil, false
 	ds, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

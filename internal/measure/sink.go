@@ -15,11 +15,12 @@ import (
 )
 
 // Sink receives measurement records as they complete, in virtual-time
-// order. It is the streaming alternative to materializing a Dataset:
-// Run/RunContext push every client-side QueryRecord and server-side
-// AuthRecord into the configured sink the moment the simulator settles
-// them, so consumers (writers, spill files, incremental aggregators)
-// can process a run of any population size in bounded memory.
+// order. Every run delivers its records this way: RunContext pushes
+// each client-side QueryRecord and server-side AuthRecord into the
+// run's sink the moment the simulator settles it, so consumers
+// (writers, spill files, incremental aggregators) can process a run of
+// any population size in bounded memory. A run without a configured
+// sink uses the Dataset it returns, which implements Sink by appending.
 //
 // Within one vantage point, records arrive in query order: the probing
 // interval (minutes) dwarfs the client timeout (seconds), so a query
@@ -53,9 +54,6 @@ type MetaSink interface {
 	OnMeta(Meta)
 }
 
-// Dataset implements Sink by appending, so the materialized path is
-// just the streaming path pointed at a slice.
-
 // OnQuery appends a client-side record.
 func (d *Dataset) OnQuery(r QueryRecord) { d.Records = append(d.Records, r) }
 
@@ -79,16 +77,6 @@ func (d *Dataset) OnMeta(m Meta) {
 
 // Close implements Sink; a dataset needs no flushing.
 func (d *Dataset) Close() error { return nil }
-
-// Discard drops every record; it backs metadata-only runs (StreamOnly
-// with no sink configured).
-var Discard Sink = discardSink{}
-
-type discardSink struct{}
-
-func (discardSink) OnQuery(QueryRecord) {}
-func (discardSink) OnAuth(AuthRecord)   {}
-func (discardSink) Close() error        { return nil }
 
 // Tee fans records out to several sinks in argument order. Close
 // closes every branch and returns the first error.

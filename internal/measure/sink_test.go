@@ -28,6 +28,15 @@ func smallCfg(t *testing.T, comboID string, probes int, seed int64) RunConfig {
 	return cfg
 }
 
+// runInto runs cfg with its records delivered to sink.
+func runInto(cfg RunConfig, sink Sink) (*Dataset, error) {
+	cfg.Sink = sink
+	return Run(cfg)
+}
+
+// TestStreamingMatchesMaterialized: a run delivers the same record
+// sequence to a configured sink as to the Dataset it returns without
+// one, and with a sink the returned Dataset is the summary alone.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg(t, "2C", 100, 21)
@@ -38,7 +47,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 
 	got := &Dataset{}
-	summary, err := RunStream(cfg, got)
+	summary, err := runInto(cfg, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +79,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 
 	// The returned dataset is summary-only but fully described.
 	if len(summary.Records) != 0 || len(summary.AuthRecords) != 0 {
-		t.Errorf("stream-only run materialized %d/%d records",
+		t.Errorf("run with a sink also kept %d/%d records",
 			len(summary.Records), len(summary.AuthRecords))
 	}
 	if summary.ActiveProbes != want.ActiveProbes || len(summary.SiteAddr) != 2 {
@@ -82,12 +91,12 @@ func TestCSVSinkMatchesWriteCSV(t *testing.T) {
 	t.Parallel()
 	cfg := smallCfg(t, "2B", 80, 5)
 	var streamed bytes.Buffer
-	ds, err := Run(cfg) // materialized reference
+	ds, err := Run(cfg) // Dataset-sink reference
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := NewCSVSink(&streamed, cfg.Combo.ID)
-	if _, err := RunStream(cfg, sink); err != nil {
+	if _, err := runInto(cfg, sink); err != nil {
 		t.Fatal(err)
 	}
 	var batch bytes.Buffer
@@ -119,7 +128,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStream(cfg, sink); err != nil {
+	if _, err := runInto(cfg, sink); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
@@ -185,7 +194,7 @@ func TestTeeAndInstrumentSink(t *testing.T) {
 	var csvBuf bytes.Buffer
 	left := &Dataset{}
 	right := InstrumentSink(NewCSVSink(&csvBuf, cfg.Combo.ID), reg, "csv")
-	if _, err := RunStream(cfg, Tee(left, right)); err != nil {
+	if _, err := runInto(cfg, Tee(left, right)); err != nil {
 		t.Fatal(err)
 	}
 	if len(left.Records) == 0 {
@@ -231,13 +240,12 @@ func TestOpenResolverStreaming(t *testing.T) {
 	}
 	got := &Dataset{}
 	cfg.Sink = got
-	cfg.StreamOnly = true
 	summary, err := RunOpenResolvers(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(summary.Records) != 0 {
-		t.Errorf("stream-only open-resolver run materialized %d records", len(summary.Records))
+		t.Errorf("open-resolver run with a sink also kept %d records", len(summary.Records))
 	}
 	if len(got.Records) != len(want.Records) {
 		t.Fatalf("streamed %d records, want %d", len(got.Records), len(want.Records))
@@ -301,7 +309,6 @@ func TestSinkWriteErrorsSurfaceAtClose(t *testing.T) {
 		cfg := smallCfg(t, "2A", 60, 33)
 		cfg.Duration = 10 * time.Minute
 		cfg.Sink = tc.make(&brimWriter{cap: 512})
-		cfg.StreamOnly = true
 		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "closing sink") {
 			t.Errorf("%s: full-disk run error = %v, want a closing-sink failure", tc.name, err)
 		}

@@ -44,7 +44,7 @@ func TestLaneFailureCancelsSiblings(t *testing.T) {
 	control.Duration = 30 * time.Minute
 	control.Shards = 4
 	var full countSink
-	if _, err := RunStream(control, &full); err != nil {
+	if _, err := runInto(control, &full); err != nil {
 		t.Fatal(err)
 	}
 	if full.queries == 0 {
@@ -54,7 +54,7 @@ func TestLaneFailureCancelsSiblings(t *testing.T) {
 	failed := control
 	failed.Seed = magicSeed
 	var partial countSink
-	_, err := RunStream(failed, &partial)
+	_, err := runInto(failed, &partial)
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("run error = %v, want the injected lane failure", err)
 	}
@@ -112,7 +112,7 @@ func snapshotRun(t *testing.T, cfg RunConfig, path, snapPath string, every time.
 			return base + csv.Bytes(), nil
 		},
 	}
-	_, runErr := RunStream(cfg, SkipRecords(csv, skip))
+	_, runErr := runInto(cfg, SkipRecords(csv, skip))
 	return runErr
 }
 

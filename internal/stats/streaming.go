@@ -90,7 +90,8 @@ func (r *Running) Max() float64 {
 // reservoir sampling (Vitter's algorithm R) with a deterministic,
 // seeded generator, bounding memory at cap samples. Cap <= 0 means
 // "no cap": the sketch stays exact forever, which is what the analysis
-// wrappers use to guarantee byte-identical figure output.
+// aggregators use (unless ritw -maxmem caps them) so figure output is
+// byte-identical across runs and layouts.
 //
 // Error bound in sampled mode: the reservoir is a uniform sample of
 // size cap, so the estimate of the p-th quantile sits at a true rank
